@@ -6,9 +6,10 @@ range queries), ``sweep`` (penetration sweeps to CSV/SVG), and ``calibrate``
 (coefficient fitting from observation files).
 
 Human reports print 6 significant digits; CSV output carries 17 significant
-digits so fixtures are reproducible. Exit codes: 0 ok, 2 input error,
-3 solver/domain error, 4 missing scenario section, 5 calibration did not
-converge within budget.
+digits so fixtures are reproducible. Exit codes: 0 ok, 2 input error
+(non-finite numbers included), 3 solver/domain error (degenerate costs
+included), 4 missing scenario section, 5 calibration did not converge
+within budget.
 """
 
 from __future__ import annotations

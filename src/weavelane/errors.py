@@ -19,8 +19,9 @@ class SimplexViolation(WeavelaneError):
     """Exogenous flow ratios do not sum to one within tolerance."""
 
 
-class DomainError(WeavelaneError):
-    """A share argument lies outside [0, 1]."""
+class DomainError(WeavelaneError, ValueError):
+    """An argument lies outside its domain: a share outside [0, 1] or a
+    non-finite number. Also a :class:`ValueError`, as bad values are."""
 
 
 class DegenerateCosts(WeavelaneError):

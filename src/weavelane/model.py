@@ -29,7 +29,7 @@ SPLIT_TOL = 1e-12
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,11 @@ def social_cost(cfg: RampConfig, x1s: float) -> float:
 
 def social_quadratic(cfg: RampConfig) -> SocialQuadratic:
     """Expand the social cost into its quadratic coefficients in ``x1s``."""
-    aff = affine_reduce(cfg)
-    n = cfg.flows
+    return social_quadratic_from_affine(affine_reduce(cfg), cfg.flows)
+
+
+def social_quadratic_from_affine(aff: AffineCoefficients, n: FlowConfig) -> SocialQuadratic:
+    """Social-cost quadratic from the reduced coefficients and the flows."""
     # Constant parts of the three exogenous costs survive the expansion.
     b_soc = n.n2_s * aff.b2s + n.n2_exit * aff.b2exit + n.n0_enter * aff.b0enter
     return SocialQuadratic(

@@ -60,8 +60,9 @@ class SweepGrid:
             raise ScenarioError(f"sweep step must be positive, got {self.step!r}")
 
     def points(self) -> list[float]:
+        """Points ``start + i * step``; rounding never carries one past ``stop``."""
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(count)]
+        return [min(self.start + i * self.step, self.stop) for i in range(count)]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateCosts
-from .model import RampConfig, affine_reduce, social_quadratic
-from .wardrop import phi, solve_hdv
+from .model import (
+    AffineCoefficients,
+    FlowConfig,
+    RampConfig,
+    SocialQuadratic,
+    affine_reduce,
+    social_quadratic_from_affine,
+)
+from .wardrop import hdv_from_affine, phi_from_affine
 
 
 @dataclass(frozen=True)
@@ -32,11 +39,14 @@ def gamma(cfg: RampConfig) -> float:
     Values outside [0, 1] mean the constrained optimum pins to a boundary.
     Raises :class:`DegenerateCosts` when the quadratic degenerates.
     """
-    aff = affine_reduce(cfg)
+    return gamma_from_affine(affine_reduce(cfg), cfg.flows)
+
+
+def gamma_from_affine(aff: AffineCoefficients, n: FlowConfig) -> float:
+    """The vertex of :func:`gamma` from reduced coefficients and flows."""
     denom = aff.k1s + aff.k1b
     if denom <= 0.0:
         raise DegenerateCosts("k1s + k1b must be positive to locate the vertex")
-    n = cfg.flows
     return (
         2.0 * aff.k1b
         + aff.b1b
@@ -49,12 +59,18 @@ def gamma(cfg: RampConfig) -> float:
 
 def solve_social_optimum(cfg: RampConfig) -> SocialOptimum:
     """Minimize the total delay over steadfast shares in [0, 1]."""
-    quad = social_quadratic(cfg)
+    aff = affine_reduce(cfg)
+    return _optimum(aff, cfg.flows, social_quadratic_from_affine(aff, cfg.flows))
+
+
+def _optimum(
+    aff: AffineCoefficients, n: FlowConfig, quad: SocialQuadratic
+) -> SocialOptimum:
     if quad.a <= 0.0:
         # Degenerate quadratic: minimize the affine remainder on [0, 1].
         x = 0.0 if quad.b >= 0.0 else 1.0
         return SocialOptimum(x1s_so=x, j_opt=quad.value(x), interior=False)
-    raw = gamma(cfg)
+    raw = gamma_from_affine(aff, n)
     x = min(1.0, max(0.0, raw))
     return SocialOptimum(x1s_so=x, j_opt=quad.value(x), interior=0.0 < raw < 1.0)
 
@@ -65,9 +81,10 @@ def ue_so_gap(cfg: RampConfig) -> tuple[float, float, float]:
     The gap is nonnegative up to rounding: the selfish outcome can never beat
     the optimum of the same quadratic.
     """
-    quad = social_quadratic(cfg)
-    j_ue = quad.value(solve_hdv(cfg).x1s_star)
-    opt = solve_social_optimum(cfg)
+    aff = affine_reduce(cfg)
+    quad = social_quadratic_from_affine(aff, cfg.flows)
+    j_ue = quad.value(hdv_from_affine(aff).x1s_star)
+    opt = _optimum(aff, cfg.flows, quad)
     return j_ue, opt.j_opt, j_ue - opt.j_opt
 
 
@@ -81,4 +98,4 @@ def admissible(cfg: RampConfig) -> bool:
     aff = affine_reduce(cfg)
     if aff.k1s + aff.k1b <= 0.0:
         return False
-    return 0.0 < phi(cfg) < gamma(cfg) < 1.0
+    return 0.0 < phi_from_affine(aff) < gamma_from_affine(aff, cfg.flows) < 1.0

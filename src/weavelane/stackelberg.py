@@ -18,9 +18,16 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, NotAdmissible, ToleranceNotMet
-from .model import RampConfig, affine_reduce, eval_costs, social_quadratic
-from .social import gamma
-from .wardrop import phi, solve_hdv
+from .model import (
+    AffineCoefficients,
+    FlowConfig,
+    RampConfig,
+    affine_reduce,
+    eval_costs,
+    social_quadratic_from_affine,
+)
+from .social import gamma_from_affine
+from .wardrop import hdv_from_affine, phi, phi_from_affine
 
 #: Complementarity residual bound certified by the numeric solver.
 RESIDUAL_TOL = 1e-8
@@ -80,31 +87,19 @@ class SweepRecord:
 def penetration_thresholds(cfg: RampConfig) -> Thresholds:
     """Compute the two penetration thresholds of an admissible configuration.
 
-    ``p1`` is the selfish crossing share and ``p2`` the social vertex; both
-    are recomputed from the affine coefficients and cross-checked against
-    :func:`weavelane.wardrop.phi` and :func:`weavelane.social.gamma`.
-    Raises :class:`NotAdmissible` outside the 0 < Phi < Gamma < 1 set.
+    ``p1`` is the selfish crossing share Phi and ``p2`` the social vertex
+    Gamma, both from one affine reduction. Raises :class:`NotAdmissible`
+    outside the 0 < Phi < Gamma < 1 set.
     """
     aff = affine_reduce(cfg)
-    n = cfg.flows
-    denom = aff.k1s + aff.k1b
-    if denom <= 0.0:
+    if aff.k1s + aff.k1b <= 0.0:
         raise NotAdmissible("degenerate costs cannot be admissible")
-    p1 = (aff.k1b + aff.b1b - aff.b1s) / denom
-    p2 = (
-        2.0 * aff.k1b
-        + aff.b1b
-        - aff.b1s
-        - n.n2_exit * aff.k2exit
-        - n.n0_enter * aff.k0enter
-        + n.n2_s * aff.k2s
-    ) / (2.0 * denom)
+    p1 = phi_from_affine(aff)
+    p2 = gamma_from_affine(aff, cfg.flows)
     if not 0.0 < p1 < p2 < 1.0:
         raise NotAdmissible(
             f"thresholds require 0 < p1 < p2 < 1, got p1={p1!r}, p2={p2!r}"
         )
-    assert abs(p1 - phi(cfg)) <= 1e-12
-    assert abs(p2 - gamma(cfg)) <= 1e-12
     return Thresholds(p1=p1, p2=p2)
 
 
@@ -127,15 +122,15 @@ def _check_penetration(p: float) -> None:
         raise DomainError(f"penetration rate must lie in [0, 1], got {p!r}")
 
 
-def _ordering_or_raise(cfg: RampConfig) -> tuple[float, float]:
+def _ordering_or_raise(aff: AffineCoefficients, n: FlowConfig) -> tuple[float, float]:
     """Phi and Gamma for configurations the closed form covers.
 
     Requires 0 < Phi < 1 and Phi < Gamma. Gamma >= 1 is allowed: the optimal
     regime is then empty inside [0, 1] and every p above p1 stays in the
     improving regime.
     """
-    phi_v = phi(cfg)
-    gamma_v = gamma(cfg)
+    phi_v = phi_from_affine(aff)
+    gamma_v = gamma_from_affine(aff, n)
     if not (0.0 < phi_v < 1.0 and phi_v < gamma_v):
         raise NotAdmissible(
             f"closed form requires 0 < Phi < 1 and Phi < Gamma, got "
@@ -152,6 +147,20 @@ def _classify(p: float, phi_v: float, gamma_v: float) -> Regime:
     return Regime.IMPROVING
 
 
+def _closed_point(
+    p: float, phi_v: float, gamma_v: float
+) -> tuple[float, float, float, Regime]:
+    """``(q_s, x1s_hdv, x1s_total, regime)`` of the closed form at ``p``."""
+    regime = _classify(p, phi_v, gamma_v)
+    if regime is Regime.PLATEAU:
+        q_s = 1.0 if p == 0.0 else min(1.0, phi_v / p)
+        return q_s, phi_v - p * q_s, phi_v, regime
+    if regime is Regime.IMPROVING:
+        return 1.0, 0.0, p, regime
+    x_total = min(1.0, gamma_v)
+    return x_total / p, 0.0, x_total, regime
+
+
 def solve_closed(cfg: RampConfig, p: float) -> StackelbergSolution:
     """Closed-form Stackelberg solution at penetration rate ``p``.
 
@@ -162,21 +171,10 @@ def solve_closed(cfg: RampConfig, p: float) -> StackelbergSolution:
     equals the optimum there.
     """
     _check_penetration(p)
-    phi_v, gamma_v = _ordering_or_raise(cfg)
-    quad = social_quadratic(cfg)
-    regime = _classify(p, phi_v, gamma_v)
-    if regime is Regime.PLATEAU:
-        q_s = 1.0 if p == 0.0 else min(1.0, phi_v / p)
-        x_hdv = phi_v - p * q_s
-        x_total = phi_v
-    elif regime is Regime.IMPROVING:
-        q_s = 1.0
-        x_hdv = 0.0
-        x_total = p
-    else:
-        x_total = min(1.0, gamma_v)
-        q_s = x_total / p
-        x_hdv = 0.0
+    aff = affine_reduce(cfg)
+    phi_v, gamma_v = _ordering_or_raise(aff, cfg.flows)
+    quad = social_quadratic_from_affine(aff, cfg.flows)
+    q_s, x_hdv, x_total, regime = _closed_point(p, phi_v, gamma_v)
     return StackelbergSolution(
         p=p,
         q_s_star=q_s,
@@ -237,13 +235,13 @@ def solve_numeric(cfg: RampConfig, p: float, tol: float = 1e-10) -> StackelbergS
     _check_penetration(p)
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    phi_v = phi(cfg)
-    gamma_v = gamma(cfg)
-    quad = social_quadratic(cfg)
     aff = affine_reduce(cfg)
+    phi_v = phi_from_affine(aff)
+    gamma_v = gamma_from_affine(aff, cfg.flows)
+    quad = social_quadratic_from_affine(aff, cfg.flows)
 
     if p == 0.0:
-        base = solve_hdv(cfg)
+        base = hdv_from_affine(aff)
         return StackelbergSolution(
             p=0.0,
             q_s_star=1.0,
@@ -296,9 +294,12 @@ def solve_numeric(cfg: RampConfig, p: float, tol: float = 1e-10) -> StackelbergS
 
 def cav_cost(cfg: RampConfig, solution: StackelbergSolution) -> float:
     """Aggregate CAV-side delay ``p * (j1s * x1s + j1b * x1b)`` at a solution."""
-    costs = eval_costs(affine_reduce(cfg), solution.x1s_total)
-    x1s = solution.x1s_total
-    return solution.p * (costs.j1s * x1s + costs.j1b * (1.0 - x1s))
+    return _cav_cost(affine_reduce(cfg), solution.p, solution.x1s_total)
+
+
+def _cav_cost(aff: AffineCoefficients, p: float, x1s: float) -> float:
+    costs = eval_costs(aff, x1s)
+    return p * (costs.j1s * x1s + costs.j1b * (1.0 - x1s))
 
 
 def _validate_grid(p_grid: Sequence[float]) -> None:
@@ -314,20 +315,28 @@ def _validate_grid(p_grid: Sequence[float]) -> None:
 
 
 def sweep_penetration(cfg: RampConfig, p_grid: Iterable[float]) -> list[SweepRecord]:
-    """Closed-form sweep over an ascending penetration grid."""
+    """Closed-form sweep over an ascending penetration grid.
+
+    Phi, Gamma and the social quadratic depend on the configuration only,
+    so they are derived once; each grid point is then the regime arithmetic
+    of :func:`solve_closed`.
+    """
     grid = [float(p) for p in p_grid]
     _validate_grid(grid)
+    aff = affine_reduce(cfg)
+    phi_v, gamma_v = _ordering_or_raise(aff, cfg.flows)
+    quad = social_quadratic_from_affine(aff, cfg.flows)
     records = []
     for p in grid:
-        sol = solve_closed(cfg, p)
+        q_s, _, x_total, regime = _closed_point(p, phi_v, gamma_v)
         records.append(
             SweepRecord(
                 p=p,
-                x1s_total=sol.x1s_total,
-                j_soc=sol.j_soc,
-                regime_label=str(sol.regime),
-                q_s=sol.q_s_star,
-                j_cav=cav_cost(cfg, sol),
+                x1s_total=x_total,
+                j_soc=quad.value(x_total),
+                regime_label=regime.value,
+                q_s=q_s,
+                j_cav=_cav_cost(aff, p, x_total),
             )
         )
     return records

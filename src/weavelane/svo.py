@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import AngleOutOfRange, DistinctnessViolated, DomainError
-from .model import RampConfig, affine_reduce, AffineCoefficients, social_quadratic
+from .errors import AngleOutOfRange, DegenerateCosts, DistinctnessViolated, DomainError
+from .model import AffineCoefficients, RampConfig, affine_reduce, social_quadratic_from_affine
 from .stackelberg import SweepRecord, _validate_grid
 
 #: Minimum gap between two indifference thresholds before types collide.
@@ -40,7 +40,7 @@ class VehicleType:
         if self.vehicle_class not in (HDV, CAV):
             raise ValueError(f"vehicle_class must be HDV or CAV, got {self.vehicle_class!r}")
         if not math.isfinite(self.theta) or not math.isfinite(self.weight):
-            raise ValueError("theta and weight must be finite")
+            raise DomainError("theta and weight must be finite")
         if math.cos(self.theta) + 2.0 * math.sin(self.theta) <= 0.0:
             raise AngleOutOfRange(
                 f"theta={self.theta!r} violates cos(theta) + 2 sin(theta) > 0"
@@ -179,10 +179,14 @@ def chi(aff: AffineCoefficients, cfg: RampConfig, theta: float) -> float:
     """Aggregate share at which a type's two blended costs coincide.
 
     Reduces to the selfish crossing at ``theta = 0`` and to the social vertex
-    at ``theta = pi/2``.
+    at ``theta = pi/2``. Raises :class:`DegenerateCosts` when both blended
+    slopes vanish.
     """
     typed = svo_transform(aff, cfg, theta)
-    return (typed.b1jb + typed.k1jb - typed.b1js) / (typed.k1js + typed.k1jb)
+    denom = typed.k1js + typed.k1jb
+    if denom <= 0.0:
+        raise DegenerateCosts("k1s + k1b must be positive to locate a type threshold")
+    return (typed.b1jb + typed.k1jb - typed.b1js) / denom
 
 
 def population_shares(pop: Population, p: float) -> list[tuple[VehicleType, float]]:
@@ -208,7 +212,12 @@ class _RankedType:
 
 def type_thresholds(cfg: RampConfig, pop: Population) -> list[_RankedType]:
     """All type thresholds sorted ascending; rejects near-collisions."""
-    aff = affine_reduce(cfg)
+    return _rank_types(affine_reduce(cfg), cfg, pop)
+
+
+def _rank_types(
+    aff: AffineCoefficients, cfg: RampConfig, pop: Population
+) -> list[_RankedType]:
     labels = pop.labels()
     ranked = [
         _RankedType(index=i, label=labels[i], vtype=t, chi=chi(aff, cfg, t.theta))
@@ -224,6 +233,37 @@ def type_thresholds(cfg: RampConfig, pop: Population) -> list[_RankedType]:
     return ranked
 
 
+def _ranked_split(
+    ranked: list[_RankedType], pop: Population, p: float
+) -> tuple[float, int | None, int, list[float], list[float]]:
+    """Equilibrium split of the ranked types at penetration ``p``.
+
+    Returns the aggregate share, the mixing rank or None, the cut (ranks at
+    or above it are fully steadfast, the others bypass except the mixing
+    one), each rank's share, and the suffix sums ``above``: ``above[k]`` is
+    the combined share of ranks >= k, so the upper-set weight of rank k is
+    ``above[k + 1]``.
+    """
+    canonical_shares = [w for _, w in population_shares(pop, p)]
+    weights = [canonical_shares[r.index] for r in ranked]
+    count = len(ranked)
+    above = [0.0] * (count + 1)
+    for k in range(count - 1, -1, -1):
+        above[k] = above[k + 1] + weights[k]
+    for k in range(count):
+        gap = ranked[k].chi - above[k + 1]
+        if 0.0 < gap < weights[k]:
+            return ranked[k].chi, k, k + 1, weights, above
+    # Pure split: the aggregate equals the weight above some rank cut.
+    for cut in range(count + 1):
+        lo = ranked[cut - 1].chi if cut >= 1 else -math.inf
+        hi = ranked[cut].chi if cut < count else math.inf
+        if lo <= above[cut] <= hi:
+            return above[cut], None, cut, weights, above
+    # Unreachable: the cut map is monotone.
+    raise AssertionError("no equilibrium cut found")  # pragma: no cover
+
+
 def solve_heterogeneous(cfg: RampConfig, pop: Population, p: float) -> HeteroEquilibrium:
     """Solve the coupled equilibrium across all types at penetration ``p``.
 
@@ -234,54 +274,24 @@ def solve_heterogeneous(cfg: RampConfig, pop: Population, p: float) -> HeteroEqu
     Boundary hits resolve to the pure side: a type whose upper-set weight
     exactly reaches its threshold is fully bypass.
     """
-    ranked = type_thresholds(cfg, pop)
-    canonical_shares = [w for _, w in population_shares(pop, p)]
-    weights = [canonical_shares[r.index] for r in ranked]
-    count = len(ranked)
-
-    # Suffix sums: above[k] is the combined share of ranks >= k, so the
-    # upper-set weight of rank k (all strictly larger thresholds) is above[k+1].
-    above = [0.0] * (count + 1)
-    for k in range(count - 1, -1, -1):
-        above[k] = above[k + 1] + weights[k]
-
-    mixed_rank: int | None = None
-    for k in range(count):
-        gap = ranked[k].chi - above[k + 1]
-        if 0.0 < gap < weights[k]:
-            mixed_rank = k
-            break
-
+    aff = affine_reduce(cfg)
+    ranked = _rank_types(aff, cfg, pop)
+    x_star, mixed_rank, cut, weights, above = _ranked_split(ranked, pop, p)
+    masses = [weights[k] if k >= cut else 0.0 for k in range(len(ranked))]
+    mixed_label = None
     if mixed_rank is not None:
-        x_star = ranked[mixed_rank].chi
-        masses = [
-            (ranked[k].chi - above[k + 1]) if k == mixed_rank
-            else (weights[k] if k > mixed_rank else 0.0)
-            for k in range(count)
-        ]
+        masses[mixed_rank] = x_star - above[cut]
         mixed_label = ranked[mixed_rank].label
-    else:
-        # Pure split: the aggregate equals the weight above some rank cut.
-        for cut in range(count + 1):
-            x_cand = above[cut]
-            lo = ranked[cut - 1].chi if cut >= 1 else -math.inf
-            hi = ranked[cut].chi if cut < count else math.inf
-            if lo <= x_cand <= hi:
-                break
-        else:  # pragma: no cover - excluded by monotonicity of the cut map
-            raise AssertionError("no equilibrium cut found")
-        x_star = x_cand
-        masses = [weights[k] if k >= cut else 0.0 for k in range(count)]
-        mixed_label = None
 
-    allocations: list[TypeAllocation | None] = [None] * count
+    allocations: list[TypeAllocation | None] = [None] * len(ranked)
     for k, r in enumerate(ranked):
         allocations[r.index] = TypeAllocation(
             label=r.label, vtype=r.vtype, chi=r.chi, share=weights[k], x1s=masses[k]
         )
+    quad = social_quadratic_from_affine(aff, cfg.flows)
     return HeteroEquilibrium(
         x1s_star=x_star,
-        j_soc=social_quadratic(cfg).value(min(1.0, max(0.0, x_star))),
+        j_soc=quad.value(min(1.0, max(0.0, x_star))),
         allocations=tuple(allocations),
         mixed_label=mixed_label,
     )
@@ -407,19 +417,26 @@ def plateau_free(
 def sweep_heterogeneous(
     cfg: RampConfig, pop: Population, p_grid: Iterable[float]
 ) -> list[SweepRecord]:
-    """Heterogeneous sweep; records the active mixed type per grid point."""
+    """Heterogeneous sweep; records the active mixed type per grid point.
+
+    The ranked thresholds and the social quadratic are derived once; each
+    grid point runs the equilibrium split of :func:`solve_heterogeneous`.
+    """
     grid = [float(p) for p in p_grid]
     _validate_grid(grid)
+    aff = affine_reduce(cfg)
+    ranked = _rank_types(aff, cfg, pop)
+    quad = social_quadratic_from_affine(aff, cfg.flows)
     records = []
     for p in grid:
-        eq = solve_heterogeneous(cfg, pop, p)
+        x_star, mixed_rank = _ranked_split(ranked, pop, p)[:2]
         records.append(
             SweepRecord(
                 p=p,
-                x1s_total=eq.x1s_star,
-                j_soc=eq.j_soc,
-                regime_label="Plateau" if eq.mixed_label is not None else "Shift",
-                active_type=eq.mixed_label if eq.mixed_label is not None else "none",
+                x1s_total=x_star,
+                j_soc=quad.value(min(1.0, max(0.0, x_star))),
+                regime_label="Shift" if mixed_rank is None else "Plateau",
+                active_type="none" if mixed_rank is None else ranked[mixed_rank].label,
             )
         )
     return records

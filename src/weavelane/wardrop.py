@@ -62,7 +62,11 @@ def solve_hdv(cfg: RampConfig) -> HdvEquilibrium:
     clamp direction; exact hits of 0 or 1 are labeled as the corresponding
     boundary case.
     """
-    aff = affine_reduce(cfg)
+    return hdv_from_affine(affine_reduce(cfg))
+
+
+def hdv_from_affine(aff: AffineCoefficients) -> HdvEquilibrium:
+    """The selfish equilibrium of :func:`solve_hdv` from reduced coefficients."""
     raw = phi_from_affine(aff)
     if raw <= 0.0:
         x1s, case = 0.0, EquilibriumCase.ALL_BYPASS

@@ -280,3 +280,58 @@ class TestCalibrate:
         path.write_text("a,b\n1,2\n")
         cp = run_cli("calibrate", str(path))
         assert cp.returncode == 2
+
+
+class TestEdgeInputsInProcess:
+    """Inputs that once ended in a traceback now map to documented exits."""
+
+    @staticmethod
+    def _run(capsys, *args: str) -> tuple[int, str]:
+        from weavelane.cli import main
+
+        code = main(list(args))
+        return code, capsys.readouterr().err
+
+    def test_nan_flow_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan_flow.yaml"
+        path.write_text(THIRDS_SCENARIO.replace("n0_enter: 0.3333333333333333", "n0_enter: .nan"))
+        code, err = self._run(capsys, "solve", str(path), "--format", "csv")
+        assert code == 2
+        assert err.startswith("error: DomainError:")
+
+    def test_nan_theta_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan_theta.yaml"
+        path.write_text(THIRDS_SCENARIO.replace("theta_radians: 0.0", "theta_radians: .nan"))
+        code, err = self._run(capsys, "plateaus", str(path), "--format", "csv")
+        assert code == 2
+        assert err.startswith("error: DomainError:")
+
+    def test_nan_raw_dataset_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("f0_enter,f2_exit,f2_s,f1_s,f1_b\n300,200,500,400,600\n120,nan,300,410,280\n")
+        code, err = self._run(
+            capsys, "calibrate", str(path), "--out-scenario", str(tmp_path / "fit.yaml")
+        )
+        assert code == 2
+        assert err.startswith("error: DomainError:")
+        assert not (tmp_path / "fit.yaml").exists()
+
+    def test_zero_unit_costs_plateaus_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "zero.yaml"
+        zero = "coefficients:\n  c1_t: 0.0\n  c2_t: 0.0\n  c1_m: 0.0\n  c2_m: 0.0\n"
+        path.write_text(THIRDS_SCENARIO + zero)
+        code, err = self._run(capsys, "plateaus", str(path), "--format", "csv")
+        assert code == 3
+        assert err.startswith("error: DegenerateCosts:")
+
+    def test_grid_overshooting_stop_sweeps(self, capsys, tmp_path):
+        path = tmp_path / "overshoot.yaml"
+        path.write_text(
+            THIRDS_SCENARIO.replace("start: 0.0", "start: 0.09").replace("step: 0.1", "step: 0.07")
+        )
+        out = tmp_path / "sweep.csv"
+        code, err = self._run(capsys, "sweep", str(path), "--mode", "stackelberg", "--out-csv", str(out))
+        assert code == 0, err
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 14
+        assert rows[-1].split(",")[0] == "1"

@@ -106,3 +106,11 @@ def test_sweep_grid_validation():
     points = grid.points()
     assert len(points) == 11
     assert points[0] == 0.0 and points[-1] == pytest.approx(1.0)
+
+
+def test_sweep_grid_never_passes_stop():
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002.
+    points = SweepGrid(0.09, 1.0, 0.07).points()
+    assert len(points) == 14
+    assert points[-1] == 1.0
+    assert all(a < b for a, b in zip(points, points[1:]))
