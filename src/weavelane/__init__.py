@@ -7,98 +7,84 @@ equilibria under social-value-orientation weighted costs with plateau
 analysis, and coefficient calibration against observed lane-choice data.
 """
 
-from .calibration import (
-    CalibrationResult,
-    Observation,
-    calibrate,
-    count_satisfied,
-    equilibrium_residual,
-    load_dataset,
-    mper,
-    normalize_flows,
-    residual_objective,
-    save_dataset,
-)
 from .errors import (
-    AngleOutOfRange,
-    BoundsInfeasible,
-    DatasetFormatError,
-    DegenerateCosts,
-    DistinctnessViolated,
-    DomainError,
-    EmptyDataset,
-    MissingSection,
-    NegativeFlow,
-    NotAdmissible,
-    ScenarioError,
-    SimplexViolation,
-    ToleranceNotMet,
-    WeavelaneError,
-    ZeroDenominator,
-    ZeroObservedShare,
+    AngleOutOfRange, BoundsInfeasible, DatasetFormatError, DegenerateCosts,
+    DistinctnessViolated, DomainError, EmptyDataset, MissingSection,
+    NegativeFlow, NotAdmissible, ScenarioError, SimplexViolation,
+    ToleranceNotMet, WeavelaneError, ZeroDenominator, ZeroObservedShare,
 )
 from .model import (
-    AffineCoefficients,
-    BehaviorCosts,
-    CostCoefficients,
-    FlowConfig,
-    FlowDistribution,
-    RampConfig,
-    SocialQuadratic,
-    affine_reduce,
-    eval_costs,
-    social_cost,
-    social_quadratic,
-    validate_flow_config,
+    AffineCoefficients, BehaviorCosts, CostCoefficients, FlowConfig,
+    FlowDistribution, RampConfig, SocialQuadratic, affine_reduce,
+    eval_costs, social_cost, social_quadratic,
 )
 from .scenario import (
-    Scenario,
-    SweepGrid,
-    emit_scenario,
-    load_scenario,
-    parse_scenario_text,
+    Scenario, SweepGrid, emit_scenario, load_scenario, parse_scenario_text,
     write_scenario,
 )
 from .social import SocialOptimum, admissible, gamma, solve_social_optimum, ue_so_gap
 from .stackelberg import (
-    Regime,
-    StackelbergSolution,
-    SweepRecord,
-    Thresholds,
-    cav_cost,
-    hdv_best_response,
-    penetration_thresholds,
-    solve_closed,
-    solve_numeric,
+    Regime, StackelbergSolution, SweepRecord, Thresholds, cav_cost,
+    hdv_best_response, penetration_thresholds, solve_closed, solve_numeric,
     sweep_penetration,
 )
 from .svo import (
-    CAV,
-    HDV,
-    HeteroEquilibrium,
-    PlateauInterval,
-    Population,
-    TypeAllocation,
-    TypedAffine,
-    VehicleType,
-    check_heterogeneous,
-    chi,
-    plateau_free,
-    plateau_intervals,
-    population_shares,
-    solve_heterogeneous,
-    svo_transform,
-    sweep_heterogeneous,
-    type_thresholds,
+    CAV, HDV, HeteroEquilibrium, PlateauInterval, Population,
+    TypeAllocation, TypedAffine, VehicleType, check_heterogeneous, chi,
+    plateau_free, plateau_intervals, population_shares, solve_heterogeneous,
+    svo_transform, sweep_heterogeneous, type_thresholds,
 )
-from .wardrop import (
-    EquilibriumCase,
-    HdvEquilibrium,
-    check_wardrop,
-    phi,
-    solve_hdv,
-)
+from .wardrop import EquilibriumCase, HdvEquilibrium, check_wardrop, phi, solve_hdv
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Calibration is the only part of the package that needs numpy and scipy, so
+# its names resolve on first access (PEP 562): ``import weavelane`` and every
+# other CLI subcommand load neither library.
+_CALIBRATION_NAMES = (
+    "CalibrationResult", "Observation", "calibrate", "count_satisfied",
+    "equilibrium_residual", "load_dataset", "mper", "normalize_flows",
+    "residual_objective", "save_dataset",
+)
+
+
+def __getattr__(name: str):
+    if name in _CALIBRATION_NAMES:
+        from . import calibration
+
+        return getattr(calibration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CALIBRATION_NAMES})
+
+
+__all__ = [
+    *_CALIBRATION_NAMES,
+    # errors
+    "AngleOutOfRange", "BoundsInfeasible", "DatasetFormatError", "DegenerateCosts",
+    "DistinctnessViolated", "DomainError", "EmptyDataset", "MissingSection",
+    "NegativeFlow", "NotAdmissible", "ScenarioError", "SimplexViolation",
+    "ToleranceNotMet", "WeavelaneError", "ZeroDenominator", "ZeroObservedShare",
+    # model
+    "AffineCoefficients", "BehaviorCosts", "CostCoefficients", "FlowConfig",
+    "FlowDistribution", "RampConfig", "SocialQuadratic", "affine_reduce",
+    "eval_costs", "social_cost", "social_quadratic",
+    # scenario
+    "Scenario", "SweepGrid", "emit_scenario", "load_scenario", "parse_scenario_text",
+    "write_scenario",
+    # social
+    "SocialOptimum", "admissible", "gamma", "solve_social_optimum", "ue_so_gap",
+    # stackelberg
+    "Regime", "StackelbergSolution", "SweepRecord", "Thresholds", "cav_cost",
+    "hdv_best_response", "penetration_thresholds", "solve_closed", "solve_numeric",
+    "sweep_penetration",
+    # svo
+    "CAV", "HDV", "HeteroEquilibrium", "PlateauInterval", "Population",
+    "TypeAllocation", "TypedAffine", "VehicleType", "check_heterogeneous", "chi",
+    "plateau_free", "plateau_intervals", "population_shares", "solve_heterogeneous",
+    "svo_transform", "sweep_heterogeneous", "type_thresholds",
+    # wardrop
+    "EquilibriumCase", "HdvEquilibrium", "check_wardrop", "phi", "solve_hdv",
+]

@@ -32,7 +32,14 @@ from .errors import (
     ZeroDenominator,
     ZeroObservedShare,
 )
-from .model import CostCoefficients, FlowConfig, RampConfig, affine_reduce, eval_costs
+from .model import (
+    CostCoefficients,
+    FlowConfig,
+    RampConfig,
+    _lane1_affine,
+    affine_reduce,
+    eval_costs,
+)
 
 _RAW_HEADER = ("f0_enter", "f2_exit", "f2_s", "f1_s", "f1_b")
 _NORMALIZED_HEADER = ("n0_enter", "n2_exit", "n2_s", "x1s")
@@ -114,10 +121,7 @@ class _DatasetArrays:
 
     def cost_diff(self, c: CostCoefficients) -> np.ndarray:
         """j1s - j1b at each observed share."""
-        k1s = c.c1_t * c.alpha + c.c1_m * (c.omega * self.n2e + self.n0)
-        b1s = c.c1_t * (c.beta * self.n2e + self.n0)
-        k1b = c.c2_t * c.gamma + c.c2_m * (c.rho * self.n2s + c.delta * self.n2e)
-        b1b = c.c2_t * self.n2s
+        k1s, b1s, k1b, b1b = _lane1_affine(c, self.n0, self.n2e, self.n2s)
         return (k1s * self.x + b1s) - (k1b * (1.0 - self.x) + b1b)
 
     def residuals(self, c: CostCoefficients) -> np.ndarray:
@@ -125,10 +129,7 @@ class _DatasetArrays:
         return np.where(diff > 0.0, self.x * diff, -(1.0 - self.x) * diff)
 
     def predicted_share(self, c: CostCoefficients) -> np.ndarray:
-        k1s = c.c1_t * c.alpha + c.c1_m * (c.omega * self.n2e + self.n0)
-        b1s = c.c1_t * (c.beta * self.n2e + self.n0)
-        k1b = c.c2_t * c.gamma + c.c2_m * (c.rho * self.n2s + c.delta * self.n2e)
-        b1b = c.c2_t * self.n2s
+        k1s, b1s, k1b, b1b = _lane1_affine(c, self.n0, self.n2e, self.n2s)
         return np.clip((k1b + b1b - b1s) / (k1s + k1b), 0.0, 1.0)
 
 

@@ -10,6 +10,9 @@ digits so fixtures are reproducible. Exit codes: 0 ok, 2 input error
 (non-finite numbers included), 3 solver/domain error (degenerate costs
 included), 4 missing scenario section, 5 calibration did not converge
 within budget.
+
+Only ``calibrate`` loads numpy and scipy; the other subcommands import
+neither, so their cold start is the interpreter, PyYAML and this package.
 """
 
 from __future__ import annotations
@@ -19,13 +22,8 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .calibration import (
-    CalibrationResult,
-    calibrate,
-    count_satisfied,
-    load_dataset,
-)
 from .charts import write_line_chart
 from .errors import (
     AngleOutOfRange,
@@ -50,6 +48,9 @@ from .social import admissible, gamma, ue_so_gap
 from .stackelberg import penetration_thresholds, sweep_penetration
 from .svo import plateau_free, plateau_intervals, sweep_heterogeneous
 from .wardrop import phi, solve_hdv
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationResult
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -270,6 +271,8 @@ def _calibration_report(args, result: CalibrationResult, satisfied: int, total: 
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .calibration import calibrate, count_satisfied, load_dataset
+
     dataset = load_dataset(args.dataset)
     if args.seed is not None:
         seed = args.seed

@@ -124,16 +124,6 @@ class FlowConfig:
             )
 
 
-def validate_flow_config(n0_enter: float, n2_exit: float, n2_s: float) -> FlowConfig:
-    """Validate raw ratios and return them as a :class:`FlowConfig`.
-
-    Values are passed through unmodified. Raises :class:`NegativeFlow` for
-    any negative component and :class:`SimplexViolation` when the sum
-    deviates from one by more than ``SIMPLEX_TOL``.
-    """
-    return FlowConfig(n0_enter, n2_exit, n2_s)
-
-
 @dataclass(frozen=True)
 class RampConfig:
     """A weaving ramp configuration: exogenous flows plus cost coefficients."""
@@ -251,10 +241,7 @@ def affine_reduce(cfg: RampConfig) -> AffineCoefficients:
     c = cfg.coeffs
     n = cfg.flows
     return AffineCoefficients(
-        k1s=c.c1_t * c.alpha + c.c1_m * (c.omega * n.n2_exit + n.n0_enter),
-        b1s=c.c1_t * (c.beta * n.n2_exit + n.n0_enter),
-        k1b=c.c2_t * c.gamma + c.c2_m * (c.rho * n.n2_s + c.delta * n.n2_exit),
-        b1b=c.c2_t * n.n2_s,
+        *_lane1_affine(c, n.n0_enter, n.n2_exit, n.n2_s),
         k2s=c.c2_t * c.gamma + c.c2_m * n.n2_s,
         b2s=c.c2_t * n.n2_s,
         k2exit=c.c1_t * c.alpha
@@ -264,6 +251,16 @@ def affine_reduce(cfg: RampConfig) -> AffineCoefficients:
         + c.c2_m * c.delta * n.n2_exit,
         k0enter=c.c1_t * c.alpha + c.c1_m * (n.n0_enter + n.n2_exit),
         b0enter=c.c1_t * (c.beta * n.n2_exit + c.omega * n.n0_enter),
+    )
+
+
+def _lane1_affine(c: CostCoefficients, n0_enter, n2_exit, n2_s) -> tuple:
+    """``(k1s, b1s, k1b, b1b)``; the flows may be floats or numpy arrays."""
+    return (
+        c.c1_t * c.alpha + c.c1_m * (c.omega * n2_exit + n0_enter),
+        c.c1_t * (c.beta * n2_exit + n0_enter),
+        c.c2_t * c.gamma + c.c2_m * (c.rho * n2_s + c.delta * n2_exit),
+        c.c2_t * n2_s,
     )
 
 

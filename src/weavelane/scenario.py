@@ -41,6 +41,9 @@ _COEFF_FIELDS = (
     "alpha", "beta", "omega", "gamma", "rho", "delta",
 )
 
+#: Largest sweep grid a scenario may ask for.
+MAX_SWEEP_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -56,8 +59,10 @@ class SweepGrid:
                 f"sweep range must satisfy 0 <= start < stop <= 1, "
                 f"got [{self.start!r}, {self.stop!r}]"
             )
-        if self.step <= 0.0:
+        if not self.step > 0.0:  # written so that NaN fails too
             raise ScenarioError(f"sweep step must be positive, got {self.step!r}")
+        if (self.stop - self.start) / self.step >= MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep step {self.step!r} gives over {MAX_SWEEP_POINTS} points")
 
     def points(self) -> list[float]:
         """Points ``start + i * step``; rounding never carries one past ``stop``."""
@@ -81,9 +86,9 @@ def _require_mapping(value, where: str) -> dict:
 
 
 def _reject_unknown(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(map(str, set(mapping) - set(allowed)))
     if unknown:
-        raise ScenarioError(f"unknown keys in {where}: {', '.join(map(str, unknown))}")
+        raise ScenarioError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
 def _number(mapping: dict, key: str, where: str) -> float:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import os
 import re
 import subprocess
@@ -5,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -324,6 +329,23 @@ class TestEdgeInputsInProcess:
         assert code == 3
         assert err.startswith("error: DegenerateCosts:")
 
+    def test_nan_and_tiny_steps_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "step.yaml"
+        out = str(tmp_path / "sweep.csv")
+        for step in (".nan", "5.0e-324"):
+            path.write_text(THIRDS_SCENARIO.replace("step: 0.1", f"step: {step}"))
+            code, err = self._run(capsys, "sweep", str(path), "--mode", "svo", "--out-csv", out)
+            assert code == 2
+            assert err.startswith("error: ScenarioError:")
+
+    def test_mixed_type_unknown_keys_exit_2(self, capsys, tmp_path):
+        # YAML reads "0" as an int key and "1e-12" as a str key; sorting both failed.
+        path = tmp_path / "keys.yaml"
+        path.write_text(THIRDS_SCENARIO.replace("n0_enter", "1e-12").replace("n2_exit", "0"))
+        code, err = self._run(capsys, "solve", str(path))
+        assert code == 2
+        assert err.startswith("error: ScenarioError: unknown keys in flows: 0, 1e-12")
+
     def test_grid_overshooting_stop_sweeps(self, capsys, tmp_path):
         path = tmp_path / "overshoot.yaml"
         path.write_text(
@@ -335,3 +357,142 @@ class TestEdgeInputsInProcess:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 14
         assert rows[-1].split(",")[0] == "1"
+
+
+# Runs in a fresh interpreter, so nothing another test imported leaks in.
+_BOUNDARY_PROBE = """
+import json, pkgutil, sys
+import weavelane, weavelane.cli
+
+def heavy():
+    return sorted(m for m in ("numpy", "scipy", "weavelane.calibration") if m in sys.modules)
+
+report = {"after_import": heavy()}
+report["solve_code"] = weavelane.cli.main(["solve", sys.argv[1]])
+report["after_solve"] = heavy()
+submodules = {m.name for m in pkgutil.iter_modules(weavelane.__path__)}
+report["exported_submodules"] = sorted(submodules & set(weavelane.__all__))
+try:
+    weavelane.no_such_name
+    report["unknown_attribute"] = "resolved"
+except AttributeError:
+    report["unknown_attribute"] = "AttributeError"
+report["lazy_identity"] = weavelane.calibrate is weavelane.calibration.calibrate
+star = {}
+exec("from weavelane import *", star)
+report["star_binds_calibration"] = star["load_dataset"] is weavelane.calibration.load_dataset
+report["all_listed_in_dir"] = set(weavelane.__all__) <= set(dir(weavelane))
+print(json.dumps(report))
+"""
+
+
+def test_import_boundary_keeps_numpy_and_scipy_out(thirds_scenario):
+    cp = subprocess.run(
+        [sys.executable, "-c", _BOUNDARY_PROBE, str(thirds_scenario)],
+        capture_output=True,
+        text=True,
+    )
+    assert cp.returncode == 0, cp.stderr
+    report = json.loads(cp.stdout.splitlines()[-1])
+    assert report == {
+        "after_import": [],
+        "solve_code": 0,
+        "after_solve": [],
+        "exported_submodules": [],
+        "unknown_attribute": "AttributeError",
+        "lazy_identity": True,
+        "star_binds_calibration": True,
+        "all_listed_in_dir": True,
+    }
+
+
+DATASET_TEXT = """\
+n0_enter,n2_exit,n2_s,x1s
+0.2,0.3,0.5,0.6
+0.3,0.3,0.4,0.5
+0.5,0.25,0.25,0.4
+"""
+
+RAW_DATASET_TEXT = """\
+f0_enter,f2_exit,f2_s,f1_s,f1_b
+300,200,500,400,600
+120,80,300,410,280
+"""
+
+# Values and fragments spliced into the inputs; appended sections test whole
+# blocks (zero unit costs, a negative weight, a duplicate section).
+_VALUE_TOKENS = (
+    "", "0", "1", "0.5", "-0.1", "0.001", "1e-12", "e9", ".nan", ".inf", "-.inf",
+    "1e309", "true", "~", "[]", "{}", "'x'", "-", ".", ":", ",", " ", "\n", "#",
+)
+_SCENARIO_TOKENS = _VALUE_TOKENS + ("HDV", "CAV", "weight", "theta_degrees", "step", "n2_s")
+_SCENARIO_TAILS = (
+    "coefficients:\n  c1_t: 0\n  c2_t: 0\n  c1_m: 0\n  c2_m: 0\n",
+    "coefficients:\n  alpha: -1\n",
+    "population:\n  - class: CAV\n    theta_degrees: 45\n    weight: 1\n",
+    "sweep: {start: 0.5, stop: 0.5, step: 0.1}\n",
+)
+_DATASET_TOKENS = _VALUE_TOKENS + ("x1s", "f1_b", "0,0,1,0", "0,0,0,0,0")
+_DATASET_TAILS = ("0.5,0.5,0,0.5\n", "0,0,1,0\n", "100,100,100,50,50\n", "0,0,0,0,0\n", "1,2\n")
+_SCENARIO_COMMANDS = (
+    ["solve", "{in}", "--format", "csv"],
+    ["thresholds", "{in}"],
+    ["plateaus", "{in}", "--range", "0.2:0.8"],
+    ["sweep", "{in}", "--mode", "stackelberg", "--out-csv", "{out}.csv"],
+    ["sweep", "{in}", "--mode", "svo", "--out-csv", "{out}.csv", "--out-svg", "{out}.svg"],
+)
+_CALIBRATE_COMMAND = ["calibrate", "{in}", "--budget", "40", "--out-scenario", "{out}.yaml"]
+
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
+
+
+@st.composite
+def mutated(draw, base: str, tokens: tuple[str, ...], tails: tuple[str, ...]) -> str:
+    """``base`` after one to three edits: a word or number replaced by a token,
+    a token spliced in at any position, or a section appended."""
+    text = base
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("word", "splice", "append")))
+        if kind == "append":
+            text += draw(st.sampled_from(tails))
+            continue
+        if kind == "word":
+            start, stop = draw(st.sampled_from([m.span() for m in re.finditer(r"[\w.+-]+", text)]))
+        else:
+            start = draw(st.integers(0, len(text)))
+            stop = min(len(text), start + draw(st.integers(0, 2)))
+        text = text[:start] + draw(st.sampled_from(tokens)) + text[stop:]
+    return text
+
+
+def _fuzz_main(workdir: Path, text: str, suffix: str, command: list[str]) -> None:
+    from weavelane.cli import main
+
+    path = workdir / f"input{suffix}"
+    path.write_text(text, encoding="utf-8")
+    argv = [arg.format(**{"in": path, "out": workdir / "out"}) for arg in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, text, err.getvalue())
+    if code in (2, 3, 4):
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+@FUZZ
+@given(
+    text=mutated(THIRDS_SCENARIO, _SCENARIO_TOKENS, _SCENARIO_TAILS),
+    command=st.sampled_from(_SCENARIO_COMMANDS),
+)
+def test_fuzzed_scenarios_exit_only_with_documented_codes(tmp_path_factory, text, command):
+    _fuzz_main(tmp_path_factory.mktemp("fuzz"), text, ".yaml", command)
+
+
+@settings(FUZZ, max_examples=80)
+@given(
+    text=st.sampled_from((DATASET_TEXT, RAW_DATASET_TEXT)).flatmap(
+        lambda base: mutated(base, _DATASET_TOKENS, _DATASET_TAILS)
+    )
+)
+def test_fuzzed_datasets_exit_only_with_documented_codes(tmp_path_factory, text):
+    _fuzz_main(tmp_path_factory.mktemp("fuzz"), text, ".csv", _CALIBRATE_COMMAND)

@@ -12,7 +12,6 @@ from weavelane.model import (
     eval_costs,
     social_cost,
     social_quadratic,
-    validate_flow_config,
 )
 
 from conftest import coeffs_zero
@@ -41,24 +40,24 @@ def fit_line(f, lo=0.0, hi=1.0) -> tuple[float, float]:
 
 class TestValidateFlowConfig:
     def test_degenerate_corner_is_valid(self):
-        flows = validate_flow_config(0.0, 0.0, 1.0)
+        flows = FlowConfig(0.0, 0.0, 1.0)
         assert (flows.n0_enter, flows.n2_exit, flows.n2_s) == (0.0, 0.0, 1.0)
 
     def test_symmetric_point_is_valid(self):
-        flows = validate_flow_config(1 / 3, 1 / 3, 1 / 3)
+        flows = FlowConfig(1 / 3, 1 / 3, 1 / 3)
         assert flows.n2_s == pytest.approx(1 / 3, abs=0)
 
     def test_simplex_violation(self):
         with pytest.raises(SimplexViolation):
-            validate_flow_config(0.5, 0.6, 0.2)
+            FlowConfig(0.5, 0.6, 0.2)
 
     def test_negative_flow(self):
         with pytest.raises(NegativeFlow):
-            validate_flow_config(-0.1, 0.6, 0.5)
+            FlowConfig(-0.1, 0.6, 0.5)
 
     def test_values_passed_through_unmodified(self):
         # Near-simplex inputs are accepted as-is, never rescaled.
-        flows = validate_flow_config(0.3, 0.3, 0.4 + 5e-10)
+        flows = FlowConfig(0.3, 0.3, 0.4 + 5e-10)
         assert flows.n2_s == 0.4 + 5e-10
 
 
@@ -191,7 +190,7 @@ class TestMonotonicity:
 
     def test_affine_reduce_is_deterministic(self, cfg_thirds):
         again = RampConfig(
-            validate_flow_config(
+            FlowConfig(
                 cfg_thirds.flows.n0_enter,
                 cfg_thirds.flows.n2_exit,
                 cfg_thirds.flows.n2_s,

@@ -4,6 +4,7 @@ import pytest
 
 from weavelane.errors import ScenarioError, SimplexViolation
 from weavelane.scenario import (
+    MAX_SWEEP_POINTS,
     SweepGrid,
     emit_scenario,
     load_scenario,
@@ -114,3 +115,16 @@ def test_sweep_grid_never_passes_stop():
     assert len(points) == 14
     assert points[-1] == 1.0
     assert all(a < b for a, b in zip(points, points[1:]))
+
+
+@pytest.mark.parametrize("step", [math.nan, 5e-324, 1e-9, 1.0 / MAX_SWEEP_POINTS])
+def test_sweep_grid_rejects_nan_and_oversized_steps(step):
+    # 5e-324 once overflowed the point count and NaN reached math.floor.
+    with pytest.raises(ScenarioError):
+        SweepGrid(0.0, 1.0, step)
+
+
+def test_sweep_grid_largest_allowed():
+    points = SweepGrid(0.0, 1.0, 1.0 / (MAX_SWEEP_POINTS - 1)).points()
+    assert len(points) == MAX_SWEEP_POINTS
+    assert points[-1] == pytest.approx(1.0)
