@@ -5,8 +5,9 @@ prescribes the share q_s of its vehicles that stay steadfast; the human
 drivers then re-equilibrate around that allocation. The system delay as a
 function of p has three regimes separated by two thresholds: a plateau where
 selfish drivers absorb every gain, an improving window, and saturation at
-the system optimum. The closed-form solver and the scalar-search solver are
-compared head to head, and the sweep is written to CSV and SVG.
+the system optimum. The closed-form solver is compared head to head with the
+general-domain solver, which needs no threshold ordering and certifies its
+answer by complementarity residuals; the sweep is written to CSV and SVG.
 """
 
 from pathlib import Path
@@ -31,7 +32,7 @@ print(f"efficiency threshold p1 = {th.p1:.6f}  (gains start here)")
 print(f"saturation threshold p2 = {th.p2:.6f}  (optimum reached here)")
 
 print()
-print("=== Closed form vs. scalar search ===")
+print("=== Closed form vs. general-domain solver ===")
 print(f"{'p':>5} {'regime':>10} {'x1s_total':>10} {'q_s*':>9} {'j_soc':>10} {'|closed-numeric|':>17}")
 for p in (0.1, 0.3, th.p1 + 0.01, 0.61, th.p2 + 0.05, 0.9, 1.0):
     closed = solve_closed(cfg, p)

@@ -26,6 +26,7 @@ from scipy.optimize import Bounds, minimize
 from .errors import (
     BoundsInfeasible,
     DatasetFormatError,
+    DegenerateCosts,
     DomainError,
     EmptyDataset,
     NegativeFlow,
@@ -130,7 +131,10 @@ class _DatasetArrays:
 
     def predicted_share(self, c: CostCoefficients) -> np.ndarray:
         k1s, b1s, k1b, b1b = _lane1_affine(c, self.n0, self.n2e, self.n2s)
-        return np.clip((k1b + b1b - b1s) / (k1s + k1b), 0.0, 1.0)
+        denom = k1s + k1b
+        if np.any(denom <= 0.0):
+            raise DegenerateCosts("k1s + k1b must be positive to locate the crossing")
+        return np.clip((k1b + b1b - b1s) / denom, 0.0, 1.0)
 
 
 def residual_objective(dataset: Sequence[Observation], coeffs: CostCoefficients) -> float:
@@ -153,7 +157,12 @@ def count_satisfied(
 
 
 def mper(dataset: Sequence[Observation], coeffs: CostCoefficients) -> float:
-    """Mean prediction error rate between observed and predicted shares."""
+    """Mean prediction error rate between observed and predicted shares.
+
+    Raises :class:`ZeroObservedShare` when an observed share is zero, then
+    :class:`DegenerateCosts` when the coefficients give some observation
+    vanishing Lane-1 cost slopes, where no share is predicted.
+    """
     if not dataset:
         raise EmptyDataset("dataset must contain at least one observation")
     arrays = _DatasetArrays(dataset)
@@ -269,7 +278,7 @@ def calibrate(
     best_f = float(np.dot(arrays.residuals(coeffs), arrays.residuals(coeffs)))
     try:
         score = mper(dataset, coeffs)
-    except ZeroObservedShare:
+    except (ZeroObservedShare, DegenerateCosts):
         score = math.nan
     return CalibrationResult(
         coeffs=coeffs,

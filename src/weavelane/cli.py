@@ -285,10 +285,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         pin_unit_costs=not args.free_unit_costs,
     )
     if math.isnan(result.mper) and args.mper:
-        print(
-            "warning: ZeroObservedShare, an observation has x1s = 0; MPER omitted",
-            file=sys.stderr,
-        )
+        # The order of mper's own checks: observed shares, then fitted slopes.
+        if any(o.x1s_observed == 0.0 for o in dataset):
+            cause = "ZeroObservedShare, an observation has x1s = 0"
+        else:
+            cause = "DegenerateCosts, the fitted Lane-1 cost slopes vanish"
+        print(f"warning: {cause}; MPER omitted", file=sys.stderr)
     satisfied = count_satisfied(dataset, result.coeffs)
     _calibration_report(args, result, satisfied, len(dataset))
     out_scenario = args.out_scenario

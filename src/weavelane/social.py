@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateCosts
+from .errors import DegenerateCosts, NotAdmissible
 from .model import (
     AffineCoefficients,
     FlowConfig,
@@ -95,7 +95,21 @@ def admissible(cfg: RampConfig) -> bool:
     interior, and the selfish share undershoots the optimum, which is the
     regime the penetration-threshold results are stated for.
     """
-    aff = affine_reduce(cfg)
-    if aff.k1s + aff.k1b <= 0.0:
+    try:
+        _admissible_thresholds(affine_reduce(cfg), cfg.flows)
+    except NotAdmissible:
         return False
-    return 0.0 < phi_from_affine(aff) < gamma_from_affine(aff, cfg.flows) < 1.0
+    return True
+
+
+def _admissible_thresholds(aff: AffineCoefficients, n: FlowConfig) -> tuple[float, float]:
+    """``(Phi, Gamma)`` if 0 < Phi < Gamma < 1, else :class:`NotAdmissible`."""
+    if aff.k1s + aff.k1b <= 0.0:
+        raise NotAdmissible("degenerate costs cannot be admissible")
+    phi_v = phi_from_affine(aff)
+    gamma_v = gamma_from_affine(aff, n)
+    if not 0.0 < phi_v < gamma_v < 1.0:
+        raise NotAdmissible(
+            f"thresholds require 0 < p1 < p2 < 1, got p1={phi_v!r}, p2={gamma_v!r}"
+        )
+    return phi_v, gamma_v

@@ -3,19 +3,19 @@
 A central command fixes the steadfast proportion ``q_s`` of the CAV share
 ``p`` of Lane-1 through traffic; HDVs then settle into the selfish
 equilibrium given that allocation. Because the follower response is a scalar
-clamp, the bilevel program collapses to a one-dimensional minimization of
-the social cost over ``q_s``. Two solvers are provided: the closed-form
-regime solution built from the two penetration thresholds, and a scalar
-search against the follower response that certifies the complementarity
-residuals.
+clamp, the bilevel program collapses to minimizing the convex social cost
+over the interval of total shares the leader can reach. Two solvers are
+provided: the closed-form regime solution built from the two penetration
+thresholds, which needs an ordered configuration, and a general-domain
+solver that clamps the social vertex to the reachable interval on any
+configuration and certifies the complementarity residuals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, NotAdmissible, ToleranceNotMet
 from .model import (
@@ -26,13 +26,11 @@ from .model import (
     eval_costs,
     social_quadratic_from_affine,
 )
-from .social import gamma_from_affine
-from .wardrop import hdv_from_affine, phi, phi_from_affine
+from .social import _admissible_thresholds, gamma_from_affine
+from .wardrop import phi, phi_from_affine
 
 #: Complementarity residual bound certified by the numeric solver.
 RESIDUAL_TOL = 1e-8
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Regime(str, Enum):
@@ -91,15 +89,7 @@ def penetration_thresholds(cfg: RampConfig) -> Thresholds:
     Gamma, both from one affine reduction. Raises :class:`NotAdmissible`
     outside the 0 < Phi < Gamma < 1 set.
     """
-    aff = affine_reduce(cfg)
-    if aff.k1s + aff.k1b <= 0.0:
-        raise NotAdmissible("degenerate costs cannot be admissible")
-    p1 = phi_from_affine(aff)
-    p2 = gamma_from_affine(aff, cfg.flows)
-    if not 0.0 < p1 < p2 < 1.0:
-        raise NotAdmissible(
-            f"thresholds require 0 < p1 < p2 < 1, got p1={p1!r}, p2={p2!r}"
-        )
+    p1, p2 = _admissible_thresholds(affine_reduce(cfg), cfg.flows)
     return Thresholds(p1=p1, p2=p2)
 
 
@@ -109,12 +99,15 @@ def hdv_best_response(cfg: RampConfig, p: float, q_s: float) -> float:
     The follower equilibrium places the total share at the cost crossing
     whenever the HDV mass can reach it, and clamps to [0, 1 - p] otherwise.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"penetration rate must lie in [0, 1], got {p!r}")
+    _check_penetration(p)
     if not 0.0 <= q_s <= 1.0:
         raise DomainError(f"q_s must lie in [0, 1], got {q_s!r}")
-    target = phi(cfg) - p * q_s
-    return min(1.0 - p, max(0.0, target))
+    return _follower_share(phi(cfg), p, q_s)
+
+
+def _follower_share(phi_v: float, p: float, q_s: float) -> float:
+    """HDV steadfast mass answering CAV steadfast mass ``p * q_s``."""
+    return min(1.0 - p, max(0.0, phi_v - p * q_s))
 
 
 def _check_penetration(p: float) -> None:
@@ -185,94 +178,37 @@ def solve_closed(cfg: RampConfig, p: float) -> StackelbergSolution:
     )
 
 
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Minimize a strictly unimodal scalar function on [lo, hi]."""
-    c = hi - _INV_GOLDEN * (hi - lo)
-    d = lo + _INV_GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while hi - lo > tol and iterations < 300:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_GOLDEN * (hi - lo)
-            fd = f(d)
-        iterations += 1
-    return 0.5 * (lo + hi)
+def solve_numeric(cfg: RampConfig, p: float) -> StackelbergSolution:
+    """Solve the bilevel problem on any configuration and certify the result.
 
-
-def _bisect_monotone(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Smallest root bracket of a nondecreasing function; assumes a sign change."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def solve_numeric(cfg: RampConfig, p: float, tol: float = 1e-10) -> StackelbergSolution:
-    """Solve the bilevel problem by scalar search against the best response.
-
-    The total steadfast share is continuous and nondecreasing in ``q_s``, so
-    minimizing the social cost over ``q_s`` equals minimizing the strictly
-    convex quadratic over the achievable share interval. The flat kink of
-    the composed objective would let a fixed sampling grid miss improvement
-    windows narrower than its spacing, so the search runs in share space:
-    golden-section over the achievable interval, then a monotone bisection
-    recovers a ``q_s`` realizing that share to ``tol``. The returned
-    solution certifies both complementarity residuals below
-    :data:`RESIDUAL_TOL`, otherwise :class:`ToleranceNotMet` is raised.
+    The follower response is a clamp, so the total steadfast share is
+    continuous and nondecreasing in ``q_s`` and covers the interval between
+    its values at ``q_s = 0`` and ``q_s = 1``. Minimizing the social cost over
+    ``q_s`` is therefore minimizing the strictly convex quadratic over that
+    interval: the vertex Gamma clamped to it. The leader plays the largest
+    ``q_s`` that reaches this share. Unlike :func:`solve_closed` this needs no
+    threshold ordering. The returned solution certifies both complementarity
+    residuals below :data:`RESIDUAL_TOL`, otherwise :class:`ToleranceNotMet`
+    is raised.
     """
     _check_penetration(p)
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     aff = affine_reduce(cfg)
     phi_v = phi_from_affine(aff)
     gamma_v = gamma_from_affine(aff, cfg.flows)
     quad = social_quadratic_from_affine(aff, cfg.flows)
 
-    if p == 0.0:
-        base = hdv_from_affine(aff)
-        return StackelbergSolution(
-            p=0.0,
-            q_s_star=1.0,
-            x1s_hdv=base.x1s_star,
-            x1s_total=base.x1s_star,
-            j_soc=quad.value(base.x1s_star),
-            regime=Regime.PLATEAU,
-        )
-
-    def response(q_s: float) -> float:
-        return min(1.0 - p, max(0.0, phi_v - p * q_s))
-
-    def total_share(q_s: float) -> float:
-        return p * q_s + response(q_s)
-
-    x_lo = total_share(0.0)
-    x_hi = total_share(1.0)
-    if x_hi - x_lo <= tol:
+    x_lo = _follower_share(phi_v, p, 0.0)
+    x_hi = p + _follower_share(phi_v, p, 1.0)
+    x_star = min(x_hi, max(x_lo, gamma_v))
+    if x_star >= x_hi:
         q_star = 1.0
+    elif x_star < phi_v:
+        # Below the crossing every HDV that can is steadfast: 1 - p of them.
+        q_star = (x_star - (1.0 - p)) / p
     else:
-        x_star = _golden_section(quad.value, x_lo, x_hi, tol * p)
-        if total_share(0.0) >= x_star:
-            q_star = 0.0
-        elif total_share(1.0) <= x_star:
-            q_star = 1.0
-        else:
-            q_star = _bisect_monotone(
-                lambda q: total_share(q) - x_star, 0.0, 1.0, tol
-            )
+        q_star = min(1.0, x_star / p)
 
-    x_hdv = response(q_star)
+    x_hdv = _follower_share(phi_v, p, q_star)
     x_total = p * q_star + x_hdv
     costs = eval_costs(aff, x_total)
     diff = costs.j1s - costs.j1b
@@ -280,7 +216,7 @@ def solve_numeric(cfg: RampConfig, p: float, tol: float = 1e-10) -> StackelbergS
     h2 = ((1.0 - p) - x_hdv) * max(0.0, -diff)
     if h1 > RESIDUAL_TOL or h2 > RESIDUAL_TOL:
         raise ToleranceNotMet(
-            f"residuals h1={h1!r}, h2={h2!r} exceed {RESIDUAL_TOL} after search"
+            f"residuals h1={h1!r}, h2={h2!r} exceed {RESIDUAL_TOL}"
         )
     return StackelbergSolution(
         p=p,

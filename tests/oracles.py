@@ -1,11 +1,13 @@
 """Independent oracles used to derive expected values.
 
 Everything here recomputes quantities from first principles (bisection,
-dense grids, fixed-point scans) without touching the closed-form code paths
+golden-section search, dense grids, fixed-point scans) without touching the closed-form code paths
 under test, so oracle agreement is meaningful evidence.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,6 +100,60 @@ def grid_best_leader(
             best_q, best_j = q, j
         q += step
     return best_q, best_j
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def search_best_leader(
+    cfg: RampConfig, p: float, tol: float = 1e-10
+) -> tuple[float, float, float]:
+    """Leader optimum ``(q_s, x1s_total, j_soc)`` by search in share space.
+
+    The follower share comes from the bisection equilibrium target, as in
+    :func:`grid_best_leader`. The total share is continuous and
+    nondecreasing in q_s, so a golden-section search of the social cost over
+    the reachable shares finds the optimal share, and a bisection on q_s
+    then finds a leader move that realizes it.
+    """
+    target = bisect_equal_costs(cfg)
+
+    def total_share(q: float) -> float:
+        return p * q + min(1.0 - p, max(0.0, target - p * q))
+
+    def cost(x: float) -> float:
+        return social_cost(cfg, min(1.0, x))
+
+    lo, hi = total_share(0.0), total_share(1.0)
+    c = hi - _INV_GOLDEN * (hi - lo)
+    d = lo + _INV_GOLDEN * (hi - lo)
+    fc, fd = cost(c), cost(d)
+    while hi - lo > tol:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_GOLDEN * (hi - lo)
+            fc = cost(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_GOLDEN * (hi - lo)
+            fd = cost(d)
+    x_star = 0.5 * (lo + hi)
+
+    if total_share(1.0) <= x_star:
+        q = 1.0
+    elif total_share(0.0) >= x_star:
+        q = 0.0
+    else:
+        q_lo, q_hi = 0.0, 1.0
+        while q_hi - q_lo > tol:
+            mid = 0.5 * (q_lo + q_hi)
+            if total_share(mid) < x_star:
+                q_lo = mid
+            else:
+                q_hi = mid
+        q = 0.5 * (q_lo + q_hi)
+    x = min(1.0, total_share(q))
+    return q, x, social_cost(cfg, x)
 
 
 def fixed_point_scan(

@@ -15,6 +15,7 @@ from weavelane.calibration import (
 from weavelane.errors import (
     BoundsInfeasible,
     DatasetFormatError,
+    DegenerateCosts,
     EmptyDataset,
     ZeroDenominator,
     ZeroObservedShare,
@@ -173,6 +174,14 @@ class TestCalibrate:
         with pytest.raises(EmptyDataset):
             calibrate([])
 
+    def test_vanishing_slopes_report_nan_mper(self):
+        # Zero unit costs make every residual zero and predict no share.
+        result = calibrate(
+            synthesize(10, seed=98), initial=CostCoefficients(0, 0, 0, 0), budget=400
+        )
+        assert result.objective == 0.0
+        assert np.isnan(result.mper)
+
     def test_bad_bounds(self, cfg_thirds):
         obs = Observation(cfg_thirds.flows, 0.5)
         with pytest.raises(BoundsInfeasible):
@@ -199,6 +208,15 @@ class TestMper:
     def test_zero_observed_share_guard(self, cfg_thirds):
         with pytest.raises(ZeroObservedShare):
             mper([Observation(cfg_thirds.flows, 0.0)], PAPER)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_slopes_guard(self):
+        with pytest.raises(DegenerateCosts):
+            mper(synthesize(10, seed=97), CostCoefficients(0, 0, 0, 0))
+
+    def test_zero_observed_share_checked_first(self, cfg_thirds):
+        with pytest.raises(ZeroObservedShare):
+            mper([Observation(cfg_thirds.flows, 0.0)], CostCoefficients(0, 0, 0, 0))
 
 
 class TestCountingScore:

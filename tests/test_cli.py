@@ -280,6 +280,24 @@ class TestCalibrate:
         assert "ZeroObservedShare" in cp.stderr
         assert "mper:        n/a" in cp.stdout
 
+    def test_vanishing_slopes_warn_and_omit_mper(self, capsys, tmp_path):
+        # No coefficients explain both shares at one flow mix, so the free
+        # fit drives the Lane-1 slopes to zero, where every residual is zero.
+        from weavelane.cli import main
+
+        path = tmp_path / "clash.csv"
+        path.write_text(
+            "n0_enter,n2_exit,n2_s,x1s\n0.2,0.3,0.5,0.1\n0.2,0.3,0.5,0.9\n0.4,0.4,0.2,0.5\n"
+        )
+        code = main([
+            "calibrate", str(path), "--free-unit-costs", "--seed", "0", "--budget", "2000",
+            "--out-scenario", str(tmp_path / "fitted.yaml"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "mper:        n/a" in out
+        assert "DegenerateCosts" in err and "ZeroObservedShare" not in err
+
     def test_malformed_dataset_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from weavelane.errors import DomainError, NotAdmissible
-from weavelane.model import FlowDistribution, RampConfig, social_quadratic
-from weavelane.social import gamma, solve_social_optimum
+from weavelane.model import (
+    CostCoefficients,
+    FlowConfig,
+    FlowDistribution,
+    RampConfig,
+    social_quadratic,
+)
+from weavelane.social import admissible, gamma, solve_social_optimum
 from weavelane.stackelberg import (
     Regime,
     hdv_best_response,
@@ -15,7 +23,7 @@ from weavelane.stackelberg import (
 from weavelane.wardrop import check_wardrop, phi, solve_hdv
 
 from frozen import GAMMA_THIRDS, PHI_THIRDS
-from oracles import grid_best_leader, random_admissible_config
+from oracles import grid_best_leader, random_admissible_config, search_best_leader
 
 
 def distribution(p: float, q_s: float, x_hdv: float) -> FlowDistribution:
@@ -169,9 +177,49 @@ class TestSolveNumeric:
         sol = solve_numeric(cfg_corner, 0.5)
         assert 0.0 <= sol.q_s_star <= 1.0
 
-    def test_rejects_bad_tolerance(self, cfg_thirds):
-        with pytest.raises(DomainError):
-            solve_numeric(cfg_thirds, 0.5, tol=0.0)
+
+LEADER_PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+@st.composite
+def leader_cases(draw) -> tuple[RampConfig, float]:
+    """A configuration over the whole space, most of it not admissible, and
+    a penetration rate that is 0, 1, Phi, Gamma (clamped to [0, 1]) or free."""
+    cuts = sorted(draw(st.lists(st.integers(0, 1000), min_size=2, max_size=2)))
+    flows = FlowConfig(cuts[0] / 1000, (cuts[1] - cuts[0]) / 1000, (1000 - cuts[1]) / 1000)
+    coeffs = CostCoefficients(*draw(st.lists(st.floats(0.1, 5.0), min_size=10, max_size=10)))
+    cfg = RampConfig(flows, coeffs)
+    anchor = draw(st.sampled_from(("zero", "one", "phi", "gamma", "free")))
+    if anchor == "free":
+        return cfg, draw(st.floats(0.0, 1.0))
+    p = {"zero": 0.0, "one": 1.0, "phi": phi(cfg), "gamma": gamma(cfg)}[anchor]
+    return cfg, min(1.0, max(0.0, p))
+
+
+# Phi <= 0 at p = 0, Phi >= 1 at p = 1, and Gamma < p < Phi inside (0, 1).
+@example((RampConfig(FlowConfig(0.8, 0.0, 0.2), CostCoefficients(c1_t=10.0)), 0.0))
+@example((RampConfig(FlowConfig(0.0, 0.0, 1.0), CostCoefficients(c2_t=10.0)), 1.0))
+@example((RampConfig(FlowConfig(0.8, 0.1, 0.1)), 0.35))
+@LEADER_PROPERTY
+@given(leader_cases())
+def test_numeric_matches_search_oracle(case):
+    cfg, p = case
+    sol = solve_numeric(cfg, p)
+    _, x_oracle, j_oracle = search_best_leader(cfg, p)
+    assert abs(sol.x1s_total - x_oracle) <= 1e-7
+    assert sol.j_soc <= j_oracle + 1e-9
+
+
+@LEADER_PROPERTY
+@given(leader_cases())
+def test_numeric_matches_closed_form_on_admissible(case):
+    cfg, p = case
+    assume(admissible(cfg))
+    numeric = solve_numeric(cfg, p)
+    closed = solve_closed(cfg, p)
+    assert numeric.q_s_star == closed.q_s_star
+    assert numeric.regime is closed.regime
+    assert abs(numeric.x1s_total - closed.x1s_total) <= 1e-15
 
 
 class TestSweep:
