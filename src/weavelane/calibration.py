@@ -3,10 +3,12 @@
 An observation pairs an exogenous flow mix with the steadfast share the
 traffic settled on. A coefficient vector explains an observation when the
 selfish complementarity conditions hold there, so the fit minimizes the sum
-of squared complementarity residuals over the dataset with a bounded
-derivative-free simplex search. Unit traversing/merging costs are pinned to
-their reference values by default, which removes the scale invariance of the
-equilibrium (scaling every coefficient leaves the crossing share unchanged).
+of squared complementarity residuals over the dataset. Unit
+traversing/merging costs are pinned to their reference values by default,
+which removes the scale invariance of the equilibrium (scaling every
+coefficient leaves the crossing share unchanged) and makes the objective a
+convex piecewise quadratic in the six weights, solved exactly. Fitting the
+unit costs too makes it nonconvex; that fit is a multistart simplex search.
 Fit quality is scored with the mean prediction error rate (MPER): the mean
 absolute relative error between observed and model-predicted steadfast
 shares, as a percentage.
@@ -18,10 +20,10 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import Bounds, lsq_linear, minimize
 
 from .errors import (
     BoundsInfeasible,
@@ -53,6 +55,10 @@ DEFAULT_BOUNDS = (0.0, 10.0)
 
 #: Residual below which an observation counts as satisfied exactly.
 SATISFIED_TOL = 1e-6
+
+#: Largest projected-gradient entry, in units of the squared largest
+#: cost-gap slope, at which a pinned fit counts as optimal.
+GRADIENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,8 @@ def _resolve_bounds(
     hi = np.empty(len(fields))
     for i, field in enumerate(fields):
         lo[i], hi[i] = bounds.get(field, DEFAULT_BOUNDS)
+        if math.isnan(lo[i]) or math.isnan(hi[i]):
+            raise BoundsInfeasible(f"bounds of {field} must not be nan")
         if lo[i] < 0.0:
             raise BoundsInfeasible(f"lower bound of {field} must be nonnegative")
         if lo[i] > hi[i]:
@@ -200,12 +208,17 @@ def calibrate(
 ) -> CalibrationResult:
     """Fit the interaction weights to a dataset of equilibrium observations.
 
-    Minimizes the squared-residual objective with a bounded Nelder-Mead
-    search restarted from the incumbent plus three jittered starts per cycle;
-    cycles repeat until a full cycle improves the objective by less than
-    1e-10 (converged) or ``budget`` function evaluations are spent. The
-    search is deterministic for a fixed ``seed``. Unit costs stay pinned to
-    their values in ``initial`` unless ``pin_unit_costs`` is false.
+    With the unit costs pinned to their values in ``initial`` (the default)
+    the objective is convex and the fit is exact: bounded least squares on
+    the residual sign pattern, repeated until ``converged`` certifies the
+    optimum, a projected gradient of at most ``GRADIENT_TOL`` times the
+    squared largest cost-gap slope. ``seed`` is unused there. With
+    ``pin_unit_costs`` false the objective is nonconvex and the fit is a
+    bounded Nelder-Mead search restarted from the incumbent plus three
+    jittered starts per cycle, deterministic for a fixed ``seed``; it has
+    converged when a cycle whose four starts all ran improves the objective
+    by less than 1e-10. On both paths ``iterations`` counts objective
+    evaluations and ``budget`` caps them.
 
     Equilibrium data carry an exact blind spot: shifting (beta, omega,
     delta) along the direction that cancels inside the Lane-1 cost gap
@@ -234,6 +247,103 @@ def calibrate(
         values.update(zip(fields, (float(v) for v in vector)))
         return CostCoefficients(**values)
 
+    if pin_unit_costs:
+        best_x, evaluations, converged = _exact_fit(arrays, build, x0, lo, hi, budget)
+    else:
+        best_x, evaluations, converged = _multistart_fit(
+            arrays, build, x0, lo, hi, budget, seed
+        )
+
+    coeffs = _fix_gauge(build(best_x), initial.omega, fields, lo, hi)
+    best_f = float(np.dot(arrays.residuals(coeffs), arrays.residuals(coeffs)))
+    try:
+        score = mper(dataset, coeffs)
+    except (ZeroObservedShare, DegenerateCosts):
+        score = math.nan
+    return CalibrationResult(
+        coeffs=coeffs,
+        objective=best_f,
+        mper=score,
+        iterations=evaluations,
+        converged=converged,
+    )
+
+
+_Build = Callable[[np.ndarray], CostCoefficients]
+
+
+def _exact_fit(
+    arrays: _DatasetArrays,
+    build: _Build,
+    x0: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    budget: int,
+) -> tuple[np.ndarray, int, bool]:
+    """Minimize the pinned objective over the box; ``(x, evaluations, converged)``.
+
+    The cost gap is ``A @ w + d``, with ``A`` and ``d`` read off the one
+    Lane-1 formula at the zero weights and the unit vectors. Residual ``i``
+    is ``s_i * gap_i`` with ``s_i = x_i`` where the gap is positive and
+    ``x_i - 1`` elsewhere, so on a fixed sign pattern the objective is a
+    linear least-squares problem. Its gradient ``2 A.T (s * s * gap)`` is
+    continuous across patterns, so a vanishing projected gradient certifies
+    the optimum. Gradients scale with the square of the cost units, so the
+    certificate measures them in units of ``max |A|`` squared.
+    """
+    d = arrays.cost_diff(build(np.zeros_like(x0)))
+    a = np.column_stack([arrays.cost_diff(build(e)) - d for e in np.eye(len(x0))])
+    free = lo < hi  # lsq_linear needs lo < hi; fixed weights stay at their bound
+    tol = GRADIENT_TOL * float(np.max(np.abs(a))) ** 2
+
+    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        gap = a @ w + d
+        sign = np.where(gap > 0.0, arrays.x, arrays.x - 1.0)
+        res = sign * gap
+        return float(np.dot(res, res)), sign, res
+
+    def certified(w: np.ndarray, sign: np.ndarray, res: np.ndarray) -> bool:
+        grad = 2.0 * (a.T @ (sign * res))
+        return bool(np.max(np.abs(w - np.clip(w - grad, lo, hi))) <= tol)
+
+    w = x0
+    f, sign, res = evaluate(w)
+    evaluations = 1
+    while not certified(w, sign, res):
+        if evaluations >= budget:
+            return w, evaluations, False
+        target = w.copy()
+        target[free] = lsq_linear(
+            sign[:, None] * a[:, free],
+            -sign * (d + a[:, ~free] @ w[~free]),
+            bounds=(lo[free], hi[free]),
+            method="bvls",
+        ).x
+        t = 1.0
+        while True:
+            trial = np.clip(w + t * (target - w), lo, hi)  # clip absorbs rounding
+            f_trial, sign_trial, res_trial = evaluate(trial)
+            evaluations += 1
+            if f_trial <= f:
+                break
+            if evaluations >= budget:
+                return w, evaluations, False
+            t *= 0.5
+        w, f, sign, res = trial, f_trial, sign_trial, res_trial
+    return w, evaluations, True
+
+
+def _multistart_fit(
+    arrays: _DatasetArrays,
+    build: _Build,
+    x0: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    budget: int,
+    seed: int,
+) -> tuple[np.ndarray, int, bool]:
+    """Seeded multistart Nelder-Mead; ``(x, evaluations, converged)``."""
+
     def objective(vector: np.ndarray) -> float:
         res = arrays.residuals(build(np.clip(vector, lo, hi)))
         return float(np.dot(res, res))
@@ -242,14 +352,13 @@ def calibrate(
     best_x = x0.copy()
     best_f = objective(best_x)
     evaluations = 1
-    converged = False
     per_start = max(200, budget // 8)
     while evaluations < budget:
         cycle_start_f = best_f
         starts = [best_x]
         for _ in range(3):
-            jitter = best_x * (1.0 + 0.15 * rng.standard_normal(len(fields)))
-            jitter += 0.05 * rng.standard_normal(len(fields))
+            jitter = best_x * (1.0 + 0.15 * rng.standard_normal(len(x0)))
+            jitter += 0.05 * rng.standard_normal(len(x0))
             starts.append(np.clip(jitter, lo, hi))
         for start in starts:
             remaining = budget - evaluations
@@ -270,23 +379,10 @@ def calibrate(
             if result.fun < best_f:
                 best_f = float(result.fun)
                 best_x = np.asarray(result.x)
-        if cycle_start_f - best_f < 1e-10:
-            converged = True
-            break
-
-    coeffs = _fix_gauge(build(best_x), initial.omega, fields, lo, hi)
-    best_f = float(np.dot(arrays.residuals(coeffs), arrays.residuals(coeffs)))
-    try:
-        score = mper(dataset, coeffs)
-    except (ZeroObservedShare, DegenerateCosts):
-        score = math.nan
-    return CalibrationResult(
-        coeffs=coeffs,
-        objective=best_f,
-        mper=score,
-        iterations=evaluations,
-        converged=converged,
-    )
+        else:  # a cycle cut short by the budget is no verdict
+            if cycle_start_f - best_f < 1e-10:
+                return best_x, evaluations, True
+    return best_x, evaluations, False
 
 
 def _fix_gauge(

@@ -341,12 +341,18 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate_cmd = sub.add_parser("calibrate", help="fit coefficients to a dataset")
     calibrate_cmd.add_argument("dataset", help="observation CSV (raw or normalized)")
     calibrate_cmd.add_argument("--out-scenario", default=None)
-    calibrate_cmd.add_argument("--budget", type=int, default=24000)
+    calibrate_cmd.add_argument(
+        "--budget",
+        type=int,
+        default=24000,
+        help="most objective evaluations the fit may spend (exit 5 if it stops short)",
+    )
     calibrate_cmd.add_argument(
         "--seed",
         type=int,
         default=None,
-        help="multistart jitter seed (defaults to the SEED env var, then 0)",
+        help="multistart jitter seed of a --free-unit-costs fit; a pinned fit is "
+        "exact and ignores it (defaults to the SEED env var, then 0)",
     )
     calibrate_cmd.add_argument(
         "--free-unit-costs",

@@ -1,8 +1,9 @@
 """Independent oracles used to derive expected values.
 
 Everything here recomputes quantities from first principles (bisection,
-golden-section search, dense grids, fixed-point scans) without touching the closed-form code paths
-under test, so oracle agreement is meaningful evidence.
+golden-section search, dense grids, fixed-point scans, derivative-free
+search) without touching the closed-form code paths under test, so oracle
+agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -174,3 +175,46 @@ def fixed_point_scan(
     # Feasible iff demand_lo <= x <= demand_hi; pick the minimal violation.
     violation = np.maximum(demand_lo - xs, 0.0) + np.maximum(xs - demand_hi, 0.0)
     return float(xs[int(np.argmin(violation))])
+
+
+_WEIGHTS = ("alpha", "beta", "omega", "gamma", "rho", "delta")
+
+
+def multistart_fit(
+    dataset: list, initial: CostCoefficients, bounds: dict[str, tuple[float, float]]
+) -> float:
+    """Least residual objective a multistart Nelder-Mead search finds.
+
+    The unit costs stay pinned to ``initial``'s; the six weights range over
+    ``bounds`` (one interval per weight). The three starts are ``initial``'s
+    weights and two uniform draws from the box. The search only evaluates
+    the public ``residual_objective``, so its result bounds the optimum from
+    above independently of the exact fit.
+    """
+    from scipy.optimize import minimize
+
+    from weavelane.calibration import residual_objective
+
+    units = {f: getattr(initial, f) for f in ("c1_t", "c2_t", "c1_m", "c2_m")}
+    lo = np.array([bounds[f][0] for f in _WEIGHTS])
+    hi = np.array([bounds[f][1] for f in _WEIGHTS])
+
+    def objective(w: np.ndarray) -> float:
+        weights = dict(zip(_WEIGHTS, (float(v) for v in np.clip(w, lo, hi))))
+        return residual_objective(dataset, CostCoefficients(**units, **weights))
+
+    rng = np.random.default_rng(0)
+    starts = [np.array([getattr(initial, f) for f in _WEIGHTS])]
+    starts += [rng.uniform(lo, hi) for _ in range(2)]
+    return min(
+        float(
+            minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                bounds=list(zip(lo, hi)),
+                options={"maxfev": 1500, "xatol": 1e-10, "fatol": 1e-14},
+            ).fun
+        )
+        for x0 in starts
+    )

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from weavelane import calibration
 from weavelane.calibration import (
     Observation,
     calibrate,
@@ -23,7 +26,7 @@ from weavelane.errors import (
 from weavelane.model import CostCoefficients, FlowConfig, RampConfig
 from weavelane.wardrop import phi, solve_hdv
 
-from oracles import random_config
+from oracles import multistart_fit, random_config
 
 PAPER = CostCoefficients()
 
@@ -190,6 +193,115 @@ class TestCalibrate:
             calibrate([obs], bounds={"alpha": (-1.0, 1.0)})
         with pytest.raises(BoundsInfeasible):
             calibrate([obs], bounds={"alpha": (5.0, 6.0)})  # excludes default start
+
+    @pytest.mark.parametrize("interval", [(np.nan, 5.0), (0.0, np.nan)])
+    def test_nan_bounds_rejected(self, cfg_thirds, interval):
+        obs = Observation(cfg_thirds.flows, 0.5)
+        with pytest.raises(BoundsInfeasible):
+            calibrate([obs], bounds={"alpha": interval})
+
+
+# No coefficients explain both shares at the first flow mix.
+CLASH = [
+    Observation(FlowConfig(0.2, 0.3, 0.5), 0.1),
+    Observation(FlowConfig(0.2, 0.3, 0.5), 0.9),
+    Observation(FlowConfig(0.4, 0.4, 0.2), 0.5),
+]
+
+
+class TestBudget:
+    def test_pinned_iterations_never_exceed_budget(self):
+        dataset = synthesize(120, seed=141, noise=0.05)
+        for budget in range(1, 12):
+            assert calibrate(dataset, budget=budget).iterations <= budget
+        capped = calibrate(
+            dataset, initial=CostCoefficients(delta=1.5), bounds={"delta": (0.0, 2.0)}, budget=3
+        )
+        assert capped.iterations <= 3
+
+    def test_pinned_start_alone_certifies_nothing_on_noisy_data(self):
+        result = calibrate(synthesize(60, seed=142, noise=0.02), budget=1)
+        assert result.iterations == 1
+        assert result.converged is False
+
+    def test_pinned_default_budget_converges_in_few_evaluations(self):
+        result = calibrate(synthesize(200, seed=91, noise=0.01))
+        assert result.converged is True
+        assert result.iterations < 50
+
+    @pytest.mark.parametrize("pin_unit_costs", [True, False])
+    def test_budget_cut_fit_is_not_converged(self, pin_unit_costs):
+        # The free fit once counted a cycle the budget had cut off as a
+        # cycle without improvement, hence as converged.
+        result = calibrate(CLASH, budget=2, pin_unit_costs=pin_unit_costs)
+        assert result.converged is False
+        assert result.objective > calibrate(CLASH).objective
+
+    def test_pinned_fit_never_calls_nelder_mead(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pinned fit must not search")
+
+        monkeypatch.setattr(calibration, "minimize", refuse)
+        result = calibrate(synthesize(80, seed=143, noise=0.02))
+        assert result.converged
+        with pytest.raises(AssertionError):
+            calibrate(CLASH, budget=200, pin_unit_costs=False)
+
+
+_WEIGHTS = ("alpha", "beta", "omega", "gamma", "rho", "delta")
+ORACLE_PROPERTY = settings(max_examples=10, derandomize=True, deadline=None)
+
+
+def pinned_case(seed, weights, noise, rows, capped, cap, fixed, zero_units):
+    """A dataset drawn from a truth, the pinned start and the box of a fit.
+
+    Shares are the truth's equilibrium plus uniform noise; ``capped`` names
+    a weight whose upper bound is ``cap`` times its true value, ``fixed`` one
+    whose bounds both equal its start, and ``zero_units`` pins all four unit
+    costs at zero.
+    """
+    rng = np.random.default_rng(seed)
+    truth = CostCoefficients(**dict(zip(_WEIGHTS, weights)))
+    dataset = []
+    for _ in range(rows):
+        flows = FlowConfig(*rng.dirichlet((1.0, 1.0, 1.0)))
+        x = solve_hdv(RampConfig(flows, truth)).x1s_star + noise * rng.uniform(-1.0, 1.0)
+        dataset.append(Observation(flows, min(1.0, max(0.0, x))))
+    bounds = {f: (0.0, 10.0) for f in _WEIGHTS}
+    if capped is not None:
+        bounds[capped] = (0.0, getattr(truth, capped) * cap)
+    units = (0.0,) * 4 if zero_units else (1.0,) * 4
+    start = {f: min(getattr(PAPER, f), bounds[f][1]) for f in _WEIGHTS}
+    if fixed is not None:
+        bounds[fixed] = (start[fixed], start[fixed])
+    return dataset, CostCoefficients(*units, **start), bounds
+
+
+@st.composite
+def pinned_fits(draw) -> tuple[list[Observation], CostCoefficients, dict]:
+    return pinned_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(st.floats(0.2, 4.0), min_size=6, max_size=6)),
+        draw(st.sampled_from((0.0, 0.01, 0.1))),
+        draw(st.integers(1, 12)),
+        draw(st.sampled_from((None,) + _WEIGHTS)),
+        draw(st.floats(0.2, 0.9)),
+        draw(st.sampled_from((None,) + _WEIGHTS)),
+        draw(st.booleans()),
+    )
+
+
+@ORACLE_PROPERTY
+@given(pinned_fits())
+@example(pinned_case(1, (1.5, 0.8, 1.2, 2.0, 0.7, 2.5), 0.0, 3, None, 1.0, None, False))
+@example(pinned_case(2, (1.5, 0.8, 1.2, 2.0, 0.7, 2.5), 0.1, 12, "gamma", 0.3, "delta", False))
+@example(pinned_case(3, (1.5, 0.8, 1.2, 2.0, 0.7, 2.5), 0.01, 2, None, 1.0, None, True))
+def test_pinned_fit_is_no_worse_than_multistart_oracle(case):
+    dataset, initial, bounds = case
+    result = calibrate(dataset, initial=initial, bounds=bounds)
+    oracle = multistart_fit(dataset, initial, bounds)
+    assert result.converged
+    assert result.objective <= oracle + 1e-9 + 1e-6 * oracle
 
 
 class TestMper:

@@ -267,7 +267,7 @@ class TestCalibrate:
             cols[3] = repr(min(1.0, max(0.0, float(cols[3]) + (0.02 if i % 2 else -0.02))))
             bent.append(",".join(cols))
         noisy.write_text("\n".join(bent) + "\n")
-        cp = run_cli("calibrate", str(noisy), "--budget", "60", "--seed", "1")
+        cp = run_cli("calibrate", str(noisy), "--budget", "1", "--seed", "1")
         assert cp.returncode == 5
 
     def test_zero_share_warns_and_omits_mper(self, tmp_path):
@@ -297,6 +297,21 @@ class TestCalibrate:
         assert code == 0
         assert "mper:        n/a" in out
         assert "DegenerateCosts" in err and "ZeroObservedShare" not in err
+
+    def test_budget_cut_free_fit_exits_5(self, capsys, tmp_path):
+        # A Nelder-Mead cycle the budget cuts off is no convergence verdict.
+        from weavelane.cli import main
+
+        path = tmp_path / "clash.csv"
+        path.write_text(
+            "n0_enter,n2_exit,n2_s,x1s\n0.2,0.3,0.5,0.1\n0.2,0.3,0.5,0.9\n0.4,0.4,0.2,0.5\n"
+        )
+        code = main([
+            "calibrate", str(path), "--free-unit-costs", "--budget", "2",
+            "--out-scenario", str(tmp_path / "fitted.yaml"),
+        ])
+        assert code == 5
+        assert "converged:   false" in capsys.readouterr().out
 
     def test_malformed_dataset_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
