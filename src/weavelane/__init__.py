@@ -24,12 +24,12 @@ from .scenario import (
 )
 from .social import SocialOptimum, admissible, gamma, solve_social_optimum, ue_so_gap
 from .stackelberg import (
-    Regime, StackelbergSolution, SweepRecord, Thresholds, cav_cost,
+    Regime, StackelbergRow, StackelbergSolution, Thresholds, cav_cost,
     hdv_best_response, penetration_thresholds, solve_closed, solve_numeric,
     sweep_penetration,
 )
 from .svo import (
-    CAV, HDV, HeteroEquilibrium, PlateauInterval, Population,
+    CAV, HDV, HeteroEquilibrium, HeteroRow, PlateauInterval, Population,
     TypeAllocation, TypedAffine, VehicleType, check_heterogeneous, chi,
     plateau_free, plateau_intervals, population_shares, solve_heterogeneous,
     svo_transform, sweep_heterogeneous, type_thresholds,
@@ -77,11 +77,11 @@ __all__ = [
     # social
     "SocialOptimum", "admissible", "gamma", "solve_social_optimum", "ue_so_gap",
     # stackelberg
-    "Regime", "StackelbergSolution", "SweepRecord", "Thresholds", "cav_cost",
+    "Regime", "StackelbergRow", "StackelbergSolution", "Thresholds", "cav_cost",
     "hdv_best_response", "penetration_thresholds", "solve_closed", "solve_numeric",
     "sweep_penetration",
     # svo
-    "CAV", "HDV", "HeteroEquilibrium", "PlateauInterval", "Population",
+    "CAV", "HDV", "HeteroEquilibrium", "HeteroRow", "PlateauInterval", "Population",
     "TypeAllocation", "TypedAffine", "VehicleType", "check_heterogeneous", "chi",
     "plateau_free", "plateau_intervals", "population_shares", "solve_heterogeneous",
     "svo_transform", "sweep_heterogeneous", "type_thresholds",

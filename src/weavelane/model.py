@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, NegativeFlow, SimplexViolation
 
@@ -267,6 +267,22 @@ def _lane1_affine(c: CostCoefficients, n0_enter, n2_exit, n2_s) -> tuple:
 def _check_share(x1s: float) -> None:
     if not 0.0 <= x1s <= 1.0:
         raise DomainError(f"steadfast share must lie in [0, 1], got {x1s!r}")
+
+
+def penetration_grid(p_grid: Iterable[float]) -> list[float]:
+    """A sweep grid as floats, checked nonempty, inside [0, 1] and strictly
+    ascending; raises :class:`DomainError` at the first violation."""
+    grid = [float(p) for p in p_grid]
+    if len(grid) == 0:
+        raise DomainError("penetration grid must be nonempty")
+    prev = None
+    for p in grid:
+        if not 0.0 <= p <= 1.0:
+            raise DomainError(f"grid point {p!r} outside [0, 1]")
+        if prev is not None and p <= prev:
+            raise DomainError("penetration grid must be strictly ascending")
+        prev = p
+    return grid
 
 
 def eval_costs(aff: AffineCoefficients, x1s: float) -> BehaviorCosts:

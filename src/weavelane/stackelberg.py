@@ -13,9 +13,10 @@ configuration and certifies the complementarity residuals.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, NotAdmissible, ToleranceNotMet
 from .model import (
@@ -24,6 +25,7 @@ from .model import (
     RampConfig,
     affine_reduce,
     eval_costs,
+    penetration_grid,
     social_quadratic_from_affine,
 )
 from .social import _admissible_thresholds, gamma_from_affine
@@ -64,22 +66,27 @@ class StackelbergSolution:
     regime: Regime
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One penetration-rate sample of a sweep.
+@dataclass(slots=True)
+class StackelbergRow:
+    """One penetration-rate sample of :func:`sweep_penetration`.
 
-    ``q_s`` and ``j_cav`` are filled by the dedicated-control sweep;
-    ``active_type`` by the heterogeneous sweep. ``regime_label`` is the bare
-    regime token written to CSV.
+    ``q_s`` is the commanded steadfast fraction of the CAVs, ``j_cav`` their
+    aggregate delay, and ``regime_label`` the bare regime token written to CSV.
     """
 
     p: float
     x1s_total: float
+    q_s: float
     j_soc: float
+    j_cav: float
     regime_label: str
-    q_s: float | None = None
-    j_cav: float | None = None
-    active_type: str | None = None
+
+    def __reduce__(self):
+        # Pickle as a constructor call. The default for slots builds a state
+        # dict per row, and the pickler holds every one until it finishes.
+        return StackelbergRow, (
+            self.p, self.x1s_total, self.q_s, self.j_soc, self.j_cav, self.regime_label
+        )
 
 
 def penetration_thresholds(cfg: RampConfig) -> Thresholds:
@@ -238,41 +245,51 @@ def _cav_cost(aff: AffineCoefficients, p: float, x1s: float) -> float:
     return p * (costs.j1s * x1s + costs.j1b * (1.0 - x1s))
 
 
-def _validate_grid(p_grid: Sequence[float]) -> None:
-    if len(p_grid) == 0:
-        raise DomainError("penetration grid must be nonempty")
-    prev = None
-    for p in p_grid:
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"grid point {p!r} outside [0, 1]")
-        if prev is not None and p <= prev:
-            raise DomainError("penetration grid must be strictly ascending")
-        prev = p
-
-
-def sweep_penetration(cfg: RampConfig, p_grid: Iterable[float]) -> list[SweepRecord]:
+def sweep_penetration(cfg: RampConfig, p_grid: Iterable[float]) -> list[StackelbergRow]:
     """Closed-form sweep over an ascending penetration grid.
 
-    Phi, Gamma and the social quadratic depend on the configuration only,
-    so they are derived once; each grid point is then the regime arithmetic
-    of :func:`solve_closed`.
+    The grid splits into the regime pieces [0, Phi], (Phi, Gamma) and
+    [Gamma, 1] of :func:`solve_closed`. On the plateau and optimal pieces the
+    total share is constant, so its social cost and the cost bracket of
+    ``j_cav`` are computed once and a row costs one multiply; only the
+    improving piece evaluates its costs at every point. Rows equal
+    :func:`solve_closed` and :func:`cav_cost` bit for bit.
     """
-    grid = [float(p) for p in p_grid]
-    _validate_grid(grid)
+    grid = penetration_grid(p_grid)
     aff = affine_reduce(cfg)
     phi_v, gamma_v = _ordering_or_raise(aff, cfg.flows)
     quad = social_quadratic_from_affine(aff, cfg.flows)
-    records = []
-    for p in grid:
-        q_s, _, x_total, regime = _closed_point(p, phi_v, gamma_v)
-        records.append(
-            SweepRecord(
-                p=p,
-                x1s_total=x_total,
-                j_soc=quad.value(x_total),
-                regime_label=regime.value,
-                q_s=q_s,
-                j_cav=_cav_cost(aff, p, x_total),
-            )
+    improving = bisect_right(grid, phi_v)
+    optimal = bisect_left(grid, gamma_v, improving)
+
+    # On the plateau phi / p >= 1, so q_s is 1. _cav_cost at p = 1 is the
+    # cost bracket that j_cav scales by p.
+    label = Regime.PLATEAU.value
+    j_soc = quad.value(phi_v)
+    bracket = _cav_cost(aff, 1.0, phi_v)
+    rows = [StackelbergRow(p, phi_v, 1.0, j_soc, p * bracket, label) for p in grid[:improving]]
+
+    # _cav_cost at x1s = p, written out with the same roundings.
+    label = Regime.IMPROVING.value
+    k1s, b1s, k1b, b1b = aff.k1s, aff.b1s, aff.k1b, aff.b1b
+    rows += [
+        StackelbergRow(
+            p,
+            p,
+            1.0,
+            quad.value(p),
+            p * ((k1s * p + b1s) * p + (k1b * (1.0 - p) + b1b) * (1.0 - p)),
+            label,
         )
-    return records
+        for p in grid[improving:optimal]
+    ]
+
+    label = Regime.OPTIMAL.value
+    x_total = min(1.0, gamma_v)
+    j_soc = quad.value(x_total)
+    bracket = _cav_cost(aff, 1.0, x_total)
+    rows += [
+        StackelbergRow(p, x_total, x_total / p, j_soc, p * bracket, label)
+        for p in grid[optimal:]
+    ]
+    return rows

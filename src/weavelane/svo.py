@@ -14,12 +14,19 @@ equilibrium, the plateau intervals, and heterogeneous sweeps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import AngleOutOfRange, DegenerateCosts, DistinctnessViolated, DomainError
-from .model import AffineCoefficients, RampConfig, affine_reduce, social_quadratic_from_affine
-from .stackelberg import SweepRecord, _validate_grid
+from .model import (
+    AffineCoefficients,
+    RampConfig,
+    SocialQuadratic,
+    affine_reduce,
+    penetration_grid,
+    social_quadratic_from_affine,
+)
 
 #: Minimum gap between two indifference thresholds before types collide.
 CHI_GAP_TOL = 1e-9
@@ -153,6 +160,25 @@ class HeteroEquilibrium:
     mixed_label: str | None
 
 
+@dataclass(slots=True)
+class HeteroRow:
+    """One penetration-rate sample of :func:`sweep_heterogeneous`.
+
+    ``active_type`` is the label of the mixing type, or ``"none"`` when every
+    type is pure; ``regime_label`` is ``Plateau`` or ``Shift`` accordingly.
+    """
+
+    p: float
+    x1s_total: float
+    active_type: str
+    j_soc: float
+    regime_label: str
+
+    def __reduce__(self):
+        # As StackelbergRow.__reduce__: no per-row state dict while pickling.
+        return HeteroRow, (self.p, self.x1s_total, self.active_type, self.j_soc, self.regime_label)
+
+
 def svo_transform(aff: AffineCoefficients, cfg: RampConfig, theta: float) -> TypedAffine:
     """Blend a type's own delay with its marginal system delay.
 
@@ -191,15 +217,19 @@ def chi(aff: AffineCoefficients, cfg: RampConfig, theta: float) -> float:
 
 def population_shares(pop: Population, p: float) -> list[tuple[VehicleType, float]]:
     """Overall share of each type at penetration ``p``, in canonical order."""
+    _check_penetration(pop, p)
+    shares = [(t, (1.0 - p) * t.weight) for t in pop.hdv_types]
+    shares += [(t, p * t.weight) for t in pop.cav_types]
+    return shares
+
+
+def _check_penetration(pop: Population, p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"penetration rate must lie in [0, 1], got {p!r}")
     if p > 0.0 and not pop.cav_types:
         raise DomainError("population has no CAV types; only p = 0 is meaningful")
     if p < 1.0 and not pop.hdv_types:
         raise DomainError("population has no HDV types; only p = 1 is meaningful")
-    shares = [(t, (1.0 - p) * t.weight) for t in pop.hdv_types]
-    shares += [(t, p * t.weight) for t in pop.cav_types]
-    return shares
 
 
 @dataclass(frozen=True)
@@ -233,35 +263,47 @@ def _rank_types(
     return ranked
 
 
+def _ranked_shares(ranked: list[_RankedType], p: float) -> list[float]:
+    """Each rank's overall share at ``p``, as :func:`population_shares` has it."""
+    return [
+        (p if r.vtype.vehicle_class == CAV else 1.0 - p) * r.vtype.weight for r in ranked
+    ]
+
+
 def _ranked_split(
-    ranked: list[_RankedType], pop: Population, p: float
-) -> tuple[float, int | None, int, list[float], list[float]]:
-    """Equilibrium split of the ranked types at penetration ``p``.
+    ranked: list[_RankedType], weights: list[float], p: float
+) -> tuple[float, int | None, int, list[float]]:
+    """Equilibrium split of the ranked types with shares ``weights`` at ``p``.
 
     Returns the aggregate share, the mixing rank or None, the cut (ranks at
     or above it are fully steadfast, the others bypass except the mixing
-    one), each rank's share, and the suffix sums ``above``: ``above[k]`` is
-    the combined share of ranks >= k, so the upper-set weight of rank k is
-    ``above[k + 1]``.
+    one), and the suffix sums ``above``: ``above[k]`` is the combined share
+    of ranks >= k, so the upper-set weight of rank k is ``above[k + 1]``.
+
+    The first cut whose steadfast share does not exceed its own threshold
+    is found from the suffix sums. Rounding can put it one rank off only
+    where the share meets a threshold, so the plateau half-lines of the two
+    ranks beside it decide the split, by the arithmetic of
+    :func:`plateau_intervals`: a rank inside both half-lines mixes, a rank
+    outside its lower one bypasses, and any other rank is steadfast.
     """
-    canonical_shares = [w for _, w in population_shares(pop, p)]
-    weights = [canonical_shares[r.index] for r in ranked]
     count = len(ranked)
     above = [0.0] * (count + 1)
     for k in range(count - 1, -1, -1):
         above[k] = above[k + 1] + weights[k]
-    for k in range(count):
-        gap = ranked[k].chi - above[k + 1]
-        if 0.0 < gap < weights[k]:
-            return ranked[k].chi, k, k + 1, weights, above
-    # Pure split: the aggregate equals the weight above some rank cut.
-    for cut in range(count + 1):
-        lo = ranked[cut - 1].chi if cut >= 1 else -math.inf
-        hi = ranked[cut].chi if cut < count else math.inf
-        if lo <= above[cut] <= hi:
-            return above[cut], None, cut, weights, above
-    # Unreachable: the cut map is monotone.
-    raise AssertionError("no equilibrium cut found")  # pragma: no cover
+    cut = next((c for c in range(count) if above[c] <= ranked[c].chi), count)
+    steadfast = {}
+    for k in (cut - 1, cut):
+        if 0 <= k < count:
+            lower, upper = _rank_halflines(ranked, k)
+            steadfast[k] = _inside(lower, p)
+            if steadfast[k] and _inside(upper, p):
+                return ranked[k].chi, k, k + 1, above
+    if steadfast.get(cut - 1):
+        cut -= 1
+    elif steadfast.get(cut) is False:
+        cut += 1
+    return above[cut], None, cut, above
 
 
 def solve_heterogeneous(cfg: RampConfig, pop: Population, p: float) -> HeteroEquilibrium:
@@ -271,12 +313,14 @@ def solve_heterogeneous(cfg: RampConfig, pop: Population, p: float) -> HeteroEqu
     steadfast, types below bypass, and at most one type mixes to pin the
     aggregate at its threshold. When no threshold can be pinned, the share
     sits at the jump between adjacent thresholds and every type is pure.
-    Boundary hits resolve to the pure side: a type whose upper-set weight
-    exactly reaches its threshold is fully bypass.
+    A type mixes exactly where ``p`` lies in its interval from
+    :func:`plateau_intervals`; at an open endpoint it is pure.
     """
     aff = affine_reduce(cfg)
     ranked = _rank_types(aff, cfg, pop)
-    x_star, mixed_rank, cut, weights, above = _ranked_split(ranked, pop, p)
+    _check_penetration(pop, p)
+    weights = _ranked_shares(ranked, p)
+    x_star, mixed_rank, cut, above = _ranked_split(ranked, weights, p)
     masses = [weights[k] if k >= cut else 0.0 for k in range(len(ranked))]
     mixed_label = None
     if mixed_rank is not None:
@@ -328,7 +372,11 @@ def check_heterogeneous(
     return True
 
 
-def _strict_halfline(u: float, v: float) -> tuple[float, float] | None:
+#: An open interval ``(a, b)`` of p, or None when empty.
+_Halfline = tuple[float, float] | None
+
+
+def _strict_halfline(u: float, v: float) -> _Halfline:
     """Solution set of u + v*p < 0 as an open interval, or None if empty."""
     if v > 0.0:
         return (-math.inf, -u / v)
@@ -337,32 +385,40 @@ def _strict_halfline(u: float, v: float) -> tuple[float, float] | None:
     return (-math.inf, math.inf) if u < 0.0 else None
 
 
-def plateau_intervals(cfg: RampConfig, pop: Population) -> list[PlateauInterval]:
-    """Exact plateau interval of every type, ascending by threshold.
+def _inside(line: _Halfline, p: float) -> bool:
+    return line is not None and line[0] < p < line[1]
 
-    For type k with upper-set weight ``W_k(p)`` and own share ``w_k(p)``,
-    the plateau is ``0 < chi_k - W_k(p) < w_k(p)`` intersected with [0, 1].
-    Both boundaries are affine in p, so each inequality is solved exactly;
-    endpoints produced by the strict inequalities are open, endpoints
-    clipped at 0 or 1 are closed. Empty intervals are dropped.
+
+def _rank_halflines(
+    ranked: list[_RankedType], k: int
+) -> tuple[_Halfline, _Halfline]:
+    """Where ``W_k(p) < chi_k`` and where ``V_k(p) > chi_k``, as open half-lines.
+
+    ``W_k(p)`` is the upper-set weight of rank k and ``V_k(p) = W_k(p) +
+    w_k(p)`` adds its own share; both are affine in p. Rank k mixes exactly
+    where p lies in both half-lines.
     """
-    ranked = type_thresholds(cfg, pop)
-    out: list[PlateauInterval] = []
+    r = ranked[k]
+    above = [s.vtype for s in ranked[k + 1 :]]
+    hdv_above = math.fsum([t.weight for t in above if t.vehicle_class == HDV])
+    cav_above = math.fsum([t.weight for t in above if t.vehicle_class == CAV])
+    # W_k(p) = w0 + w1*p ; V_k(p) = W_k(p) + w_k(p) = v0 + v1*p
+    w0, w1 = hdv_above, cav_above - hdv_above
+    if r.vtype.vehicle_class == HDV:
+        v0, v1 = w0 + r.vtype.weight, w1 - r.vtype.weight
+    else:
+        v0, v1 = w0, w1 + r.vtype.weight
+    return _strict_halfline(w0 - r.chi, w1), _strict_halfline(r.chi - v0, -v1)
+
+
+def _plateaus(
+    ranked: list[_RankedType],
+) -> list[tuple[int, PlateauInterval, _Halfline]]:
+    """``(rank, interval, lower half-line)`` of every rank whose plateau is
+    nonempty, ascending by threshold."""
+    out = []
     for k, r in enumerate(ranked):
-        hdv_above = math.fsum(
-            s.vtype.weight for s in ranked[k + 1 :] if s.vtype.vehicle_class == HDV
-        )
-        cav_above = math.fsum(
-            s.vtype.weight for s in ranked[k + 1 :] if s.vtype.vehicle_class == CAV
-        )
-        # W_k(p) = w0 + w1*p ; V_k(p) = W_k(p) + w_k(p) = v0 + v1*p
-        w0, w1 = hdv_above, cav_above - hdv_above
-        if r.vtype.vehicle_class == HDV:
-            v0, v1 = w0 + r.vtype.weight, w1 - r.vtype.weight
-        else:
-            v0, v1 = w0, w1 + r.vtype.weight
-        lower = _strict_halfline(w0 - r.chi, w1)  # W_k(p) < chi_k
-        upper = _strict_halfline(r.chi - v0, -v1)  # V_k(p) > chi_k
+        lower, upper = _rank_halflines(ranked, k)
         if lower is None or upper is None:
             continue
         p_lo, p_hi = 0.0, 1.0
@@ -380,18 +436,29 @@ def plateau_intervals(cfg: RampConfig, pop: Population) -> list[PlateauInterval]
             continue
         if p_lo == p_hi and not (lo_closed and hi_closed):
             continue
-        out.append(
-            PlateauInterval(
-                k=r.index,
-                label=r.label,
-                chi_k=r.chi,
-                p_lo=p_lo,
-                p_hi=p_hi,
-                lo_closed=lo_closed,
-                hi_closed=hi_closed,
-            )
+        interval = PlateauInterval(
+            k=r.index,
+            label=r.label,
+            chi_k=r.chi,
+            p_lo=p_lo,
+            p_hi=p_hi,
+            lo_closed=lo_closed,
+            hi_closed=hi_closed,
         )
+        out.append((k, interval, lower))
     return out
+
+
+def plateau_intervals(cfg: RampConfig, pop: Population) -> list[PlateauInterval]:
+    """Exact plateau interval of every type, ascending by threshold.
+
+    For type k with upper-set weight ``W_k(p)`` and own share ``w_k(p)``,
+    the plateau is ``0 < chi_k - W_k(p) < w_k(p)`` intersected with [0, 1].
+    Both boundaries are affine in p, so each inequality is solved exactly;
+    endpoints produced by the strict inequalities are open, endpoints
+    clipped at 0 or 1 are closed. Empty intervals are dropped.
+    """
+    return [interval for _, interval, _ in _plateaus(type_thresholds(cfg, pop))]
 
 
 def plateau_free(
@@ -416,27 +483,65 @@ def plateau_free(
 
 def sweep_heterogeneous(
     cfg: RampConfig, pop: Population, p_grid: Iterable[float]
-) -> list[SweepRecord]:
+) -> list[HeteroRow]:
     """Heterogeneous sweep; records the active mixed type per grid point.
 
-    The ranked thresholds and the social quadratic are derived once; each
-    grid point runs the equilibrium split of :func:`solve_heterogeneous`.
+    [0, 1] is partitioned once into regime pieces: the intervals of
+    :func:`plateau_intervals`, where one type mixes and pins the share at
+    its threshold, and the gaps between them, where every type is pure and
+    the share is the steadfast weight above one cut. A gap's cut is fixed by
+    the side on which its neighbouring plateau closed: a rank that closes
+    at ``W_k = chi_k`` bypasses beyond it, one that closes at ``V_k =
+    chi_k`` stays steadfast. Each piece then fills its slice of the grid.
+    Labels therefore equal interval membership, and rows equal
+    :func:`solve_heterogeneous` bit for bit.
     """
-    grid = [float(p) for p in p_grid]
-    _validate_grid(grid)
+    grid = penetration_grid(p_grid)
     aff = affine_reduce(cfg)
     ranked = _rank_types(aff, cfg, pop)
+    for p in (grid[0], grid[-1]):
+        _check_penetration(pop, p)
     quad = social_quadratic_from_affine(aff, cfg.flows)
-    records = []
-    for p in grid:
-        x_star, mixed_rank = _ranked_split(ranked, pop, p)[:2]
-        records.append(
-            SweepRecord(
-                p=p,
-                x1s_total=x_star,
-                j_soc=quad.value(min(1.0, max(0.0, x_star))),
-                regime_label="Shift" if mixed_rank is None else "Plateau",
-                active_type="none" if mixed_rank is None else ranked[mixed_rank].label,
-            )
-        )
-    return records
+    plateaus = sorted(_plateaus(ranked), key=lambda t: t[1].p_lo)
+    # The walk below needs disjoint pieces. Thresholds at least CHI_GAP_TOL
+    # apart keep plateaus apart; refuse, rather than mislabel, if they touch.
+    for (_, a, _), (_, b, _) in zip(plateaus, plateaus[1:]):
+        if a.p_hi > b.p_lo or (a.p_hi == b.p_lo and a.hi_closed and b.lo_closed):
+            raise DistinctnessViolated(f"plateaus of {a.label} and {b.label} overlap")
+
+    rows: list[HeteroRow] = []
+    start, cut = 0, None
+    for k, iv, lower in plateaus:
+        lo = (bisect_left if iv.lo_closed else bisect_right)(grid, iv.p_lo, start)
+        hi = (bisect_right if iv.hi_closed else bisect_left)(grid, iv.p_hi, lo)
+        if cut is None:
+            cut = k if _inside(lower, iv.p_lo) else k + 1
+        rows += _pure_rows(ranked, cut, grid[start:lo], quad)
+        j_soc = quad.value(min(1.0, max(0.0, iv.chi_k)))
+        rows += [HeteroRow(p, iv.chi_k, iv.label, j_soc, "Plateau") for p in grid[lo:hi]]
+        cut = k if _inside(lower, iv.p_hi) else k + 1
+        start = hi
+    if cut is None:
+        # No plateau anywhere: one cut holds on all of [0, 1].
+        cut = _ranked_split(ranked, _ranked_shares(ranked, 0.5), 0.5)[2]
+    rows += _pure_rows(ranked, cut, grid[start:], quad)
+    return rows
+
+
+def _pure_rows(
+    ranked: list[_RankedType], cut: int, ps: list[float], quad: SocialQuadratic
+) -> list[HeteroRow]:
+    """Rows at ``ps`` where the ranks at or above ``cut`` are all steadfast.
+
+    The share is summed from the top rank down, as the suffix sums of
+    :func:`_ranked_split` are.
+    """
+    upper = [(r.vtype.weight, r.vtype.vehicle_class == CAV) for r in reversed(ranked[cut:])]
+    rows = []
+    for p in ps:
+        q = 1.0 - p
+        x = 0.0
+        for weight, is_cav in upper:
+            x += (p if is_cav else q) * weight
+        rows.append(HeteroRow(p, x, "none", quad.value(min(1.0, max(0.0, x))), "Shift"))
+    return rows

@@ -38,6 +38,17 @@ flows:
   n2_s: 1.0
 """
 
+ENDPOINT_SCENARIO = """\
+flows: {n0_enter: 0.2958606844637658, n2_exit: 0.37781381911318684, n2_s: 0.3263254964230475}
+coefficients: {c1_t: 0.19740063452473083, c2_t: 3.3191997242347613, c1_m: 3.765703101021913, c2_m: 3.9001927815281183, alpha: 0.7314237425425297, beta: 3.2413244417466958, omega: 4.207636861018295, gamma: 0.27625123500752324, rho: 1.047506756889271, delta: 1.4121014409147}
+population:
+  - {class: HDV, theta_radians: 0.6095166556998283, weight: 0.4985762753089315}
+  - {class: HDV, theta_radians: 0.9039661100460351, weight: 0.5014237246910686}
+  - {class: CAV, theta_radians: 0.3869516155224081, weight: 0.11238535292036685}
+  - {class: CAV, theta_radians: 1.1106611230327985, weight: 0.8876146470796331}
+sweep: {start: 0.21802025142064824, stop: 1.0, step: 0.5}
+"""
+
 
 def run_cli(*args: str, env_extra: dict | None = None) -> subprocess.CompletedProcess:
     env = os.environ.copy()
@@ -241,6 +252,9 @@ class TestCalibrate:
         assert fitted.exists()
 
     def test_seed_env_override(self, dataset, tmp_path):
+        # Only a free-unit-cost fit draws from the seed. At this budget the
+        # seeded starts change the fit, so SEED=7 must match --seed 7 and
+        # differ from the default seed 0.
         noisy = tmp_path / "noisy.csv"
         text = dataset.read_text().splitlines()
         bent = [text[0]]
@@ -249,14 +263,12 @@ class TestCalibrate:
             cols[3] = repr(min(1.0, float(cols[3]) + (0.01 if i % 2 else -0.01)))
             bent.append(",".join(cols))
         noisy.write_text("\n".join(bent) + "\n")
-        by_env = run_cli(
-            "calibrate", str(noisy), "--budget", "2000", "--format", "csv",
-            env_extra={"SEED": "7"},
-        )
-        by_flag = run_cli(
-            "calibrate", str(noisy), "--budget", "2000", "--seed", "7", "--format", "csv"
-        )
-        assert by_env.stdout == by_flag.stdout
+        args = ("calibrate", str(noisy), "--free-unit-costs", "--budget", "600", "--format", "csv")
+        by_env = run_cli(*args, env_extra={"SEED": "7"})
+        by_flag = run_cli(*args, "--seed", "7")
+        by_default = run_cli(*args)
+        assert (by_env.returncode, by_env.stdout) == (by_flag.returncode, by_flag.stdout)
+        assert by_env.stdout != by_default.stdout
 
     def test_non_convergence_exits_5(self, dataset, tmp_path):
         noisy = tmp_path / "noisy.csv"
@@ -378,6 +390,22 @@ class TestEdgeInputsInProcess:
         code, err = self._run(capsys, "solve", str(path))
         assert code == 2
         assert err.startswith("error: ScenarioError: unknown keys in flows: 0, 1e-12")
+
+    def test_svo_sweep_from_a_plateau_endpoint_exits_0(self, capsys, tmp_path):
+        # The first grid point is HDV1's open plateau endpoint, where a
+        # mixing test and a pure-cut test that round differently both fail.
+        from weavelane.scenario import load_scenario
+        from weavelane.svo import solve_heterogeneous
+
+        path = tmp_path / "endpoint.yaml"
+        path.write_text(ENDPOINT_SCENARIO)
+        code, err = self._run(
+            capsys, "sweep", str(path), "--mode", "svo", "--out-csv", str(tmp_path / "svo.csv")
+        )
+        assert code == 0, err
+        sc = load_scenario(path)
+        eq = solve_heterogeneous(sc.config, sc.population, 0.21802025142064824)
+        assert eq.mixed_label is None
 
     def test_grid_overshooting_stop_sweeps(self, capsys, tmp_path):
         path = tmp_path / "overshoot.yaml"

@@ -308,14 +308,7 @@ class TestPlateauIntervals:
                 )
                 member = 0.0 < r.chi - upper < shares[r.index]
                 iv = intervals.get(r.index)
-                in_interval = iv.contains(p) if iv is not None else False
-                if member != in_interval:
-                    # Disagreement is only tolerable within one grid step of
-                    # an analytic endpoint.
-                    assert iv is not None
-                    assert (
-                        abs(p - iv.p_lo) <= 1e-3 or abs(p - iv.p_hi) <= 1e-3
-                    )
+                assert member == (iv is not None and iv.contains(p))
 
     def test_neighboring_intervals_disjoint(self):
         rng = np.random.default_rng(71)
@@ -340,10 +333,11 @@ class TestPlateauIntervals:
                     assert not (a.hi_closed and b.lo_closed)
 
     def test_membership_certified_for_random_populations(self):
-        # Sampled membership in 0 < chi_k - W_k(p) < w_k(p) must agree with
-        # the analytic endpoints up to one 1e-3 grid step.
+        # Sampled membership in 0 < chi_k - W_k(p) < w_k(p) agrees with the
+        # analytic endpoints at every point of a 1e-3 grid, and so does the
+        # mixing type the sweep reports.
         rng = np.random.default_rng(131)
-        grid = np.arange(0.0, 1.0 + 1e-9, 1e-3)
+        grid = [float(p) for p in np.arange(0.0, 1.0 + 1e-9, 1e-3)]
         certified = 0
         while certified < 20:
             cfg = random_admissible_config(rng)
@@ -370,17 +364,18 @@ class TestPlateauIntervals:
             except DistinctnessViolated:
                 continue
             intervals = {iv.k: iv for iv in plateau_intervals(cfg, pop)}
-            for p in grid:
-                p = float(p)
+            rows = sweep_heterogeneous(cfg, pop, grid)
+            for p, row in zip(grid, rows):
                 shares = [w for _, w in population_shares(pop, p)]
+                mixing = []
                 for k, r in enumerate(ranked):
                     upper = math.fsum(shares[s.index] for s in ranked[k + 1 :])
                     member = 0.0 < r.chi - upper < shares[r.index]
                     iv = intervals.get(r.index)
-                    inside = iv.contains(p) if iv is not None else False
-                    if member != inside:
-                        assert iv is not None
-                        assert abs(p - iv.p_lo) <= 1e-3 or abs(p - iv.p_hi) <= 1e-3
+                    assert member == (iv is not None and iv.contains(p))
+                    if member:
+                        mixing.append(r.label)
+                assert [row.active_type] == (mixing or ["none"])
             certified += 1
 
     def test_matched_tails_give_one_sided_interval(self, cfg_thirds):

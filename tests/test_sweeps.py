@@ -3,7 +3,9 @@ the point solvers they replace, rows and raised error kinds alike."""
 
 from __future__ import annotations
 
+import importlib
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from weavelane.errors import DegenerateCosts, WeavelaneError
 from weavelane.model import CostCoefficients, FlowConfig, RampConfig
 from weavelane.social import admissible, gamma
 from weavelane.stackelberg import (
-    SweepRecord,
+    StackelbergRow,
     cav_cost,
     solve_closed,
     sweep_penetration,
@@ -22,14 +24,18 @@ from weavelane.stackelberg import (
 from weavelane.svo import (
     CAV,
     HDV,
+    HeteroRow,
     Population,
     VehicleType,
     plateau_intervals,
+    population_shares,
     solve_heterogeneous,
     sweep_heterogeneous,
     type_thresholds,
 )
 from weavelane.wardrop import phi
+
+from oracles import fixed_point_scan
 
 PROPERTY = settings(max_examples=120, derandomize=True, deadline=None)
 
@@ -80,13 +86,13 @@ def _closed_rows(cfg, grid):
     for p in grid:
         sol = solve_closed(cfg, p)
         rows.append(
-            SweepRecord(
+            StackelbergRow(
                 p=p,
                 x1s_total=sol.x1s_total,
-                j_soc=sol.j_soc,
-                regime_label=str(sol.regime),
                 q_s=sol.q_s_star,
+                j_soc=sol.j_soc,
                 j_cav=cav_cost(cfg, sol),
+                regime_label=str(sol.regime),
             )
         )
     return rows
@@ -97,12 +103,12 @@ def _typed_rows(cfg, pop, grid):
     for p in grid:
         eq = solve_heterogeneous(cfg, pop, p)
         rows.append(
-            SweepRecord(
+            HeteroRow(
                 p=p,
                 x1s_total=eq.x1s_star,
+                active_type=eq.mixed_label if eq.mixed_label is not None else "none",
                 j_soc=eq.j_soc,
                 regime_label="Plateau" if eq.mixed_label is not None else "Shift",
-                active_type=eq.mixed_label if eq.mixed_label is not None else "none",
             )
         )
     return rows
@@ -130,6 +136,46 @@ def test_heterogeneous_sweep_equals_point_solver(data):
     grid = _grid(data.draw, marks)
     want = _outcome(lambda: _typed_rows(cfg, pop, grid))
     assert _outcome(lambda: sweep_heterogeneous(cfg, pop, grid)) == want
+
+
+def _ulp_neighbours(ends, ulps: int) -> list[float]:
+    """Each end and the ``ulps`` floats on either side of it, inside [0, 1]."""
+    points = set()
+    for end in ends:
+        lo = hi = end
+        points.add(end)
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            points.update((lo, hi))
+    return sorted(p for p in points if 0.0 <= p <= 1.0)
+
+
+@PROPERTY
+@given(cfg=configs(), pop=populations(), ulps=st.integers(0, 4))
+def test_labels_equal_membership_at_plateau_endpoints(cfg, pop, ulps):
+    # Within a few ulps of an endpoint rounding decides the label, yet the
+    # sweep and the point solver must both report exactly the interval
+    # that holds p.
+    intervals = _outcome(lambda: plateau_intervals(cfg, pop))
+    assume(isinstance(intervals, list) and intervals)
+    grid = _ulp_neighbours([end for iv in intervals for end in (iv.p_lo, iv.p_hi)], ulps)
+    rows = sweep_heterogeneous(cfg, pop, grid)
+    assert rows == _typed_rows(cfg, pop, grid)
+    for row in rows:
+        inside = [iv.label for iv in intervals if iv.contains(row.p)]
+        assert [row.active_type] == (inside or ["none"])
+
+
+@PROPERTY
+@given(cfg=configs(), pop=populations(), p=st.floats(0.0, 1.0))
+def test_heterogeneous_share_matches_fixed_point_scan(cfg, pop, p):
+    eq = _outcome(lambda: solve_heterogeneous(cfg, pop, p))
+    assume(not isinstance(eq, type))
+    ranked = type_thresholds(cfg, pop)
+    shares = population_shares(pop, p)
+    step = 1e-5
+    scanned = fixed_point_scan([r.chi for r in ranked], [shares[r.index][1] for r in ranked], step)
+    assert abs(eq.x1s_star - scanned) <= step + 1e-12
 
 
 def test_sweeps_raise_what_the_first_point_raises(cfg_thirds):
@@ -172,7 +218,7 @@ def count_reductions(monkeypatch):
         return original(cfg)
 
     for name in ("model", "wardrop", "social", "stackelberg", "svo", "calibration"):
-        module = getattr(weavelane, name)
+        module = importlib.import_module(f"weavelane.{name}")
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, counting)
@@ -212,3 +258,12 @@ def test_solvers_reduce_once_per_call(count_reductions, cfg_thirds, pop_four_cav
     for k, call in enumerate(calls, start=1):
         call()
         assert count_reductions[0] == k
+
+
+def test_rows_survive_a_pickle_round_trip(cfg_thirds, pop_four_cav):
+    grid = [i / 20 for i in range(21)]
+    for rows in (
+        sweep_penetration(cfg_thirds, grid),
+        sweep_heterogeneous(cfg_thirds, pop_four_cav, grid),
+    ):
+        assert pickle.loads(pickle.dumps(rows)) == rows
