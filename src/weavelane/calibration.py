@@ -3,15 +3,14 @@
 An observation pairs an exogenous flow mix with the steadfast share the
 traffic settled on. A coefficient vector explains an observation when the
 selfish complementarity conditions hold there, so the fit minimizes the sum
-of squared complementarity residuals over the dataset. Unit
-traversing/merging costs are pinned to their reference values by default,
-which removes the scale invariance of the equilibrium (scaling every
-coefficient leaves the crossing share unchanged) and makes the objective a
-convex piecewise quadratic in the six weights, solved exactly. Fitting the
-unit costs too makes it nonconvex; that fit is a multistart simplex search.
-Fit quality is scored with the mean prediction error rate (MPER): the mean
-absolute relative error between observed and model-predicted steadfast
-shares, as a percentage.
+of squared complementarity residuals over the dataset. Scaling every unit
+cost leaves the crossing share unchanged, so ``c1_t`` is held as the unit
+of delay; the other unit costs are pinned too by default or fitted with
+``pin_unit_costs=False``. Either way the objective is a convex piecewise
+quadratic in lifted variables (each weight times its unit cost) over a
+polyhedron, solved exactly. Fit quality is scored with the mean prediction
+error rate (MPER): the mean absolute relative error between observed and
+model-predicted steadfast shares, as a percentage.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, lsq_linear, minimize
+from scipy.optimize import minimize, nnls
 
 from .errors import (
     BoundsInfeasible,
@@ -56,8 +55,8 @@ DEFAULT_BOUNDS = (0.0, 10.0)
 #: Residual below which an observation counts as satisfied exactly.
 SATISFIED_TOL = 1e-6
 
-#: Largest projected-gradient entry, in units of the squared largest
-#: cost-gap slope, at which a pinned fit counts as optimal.
+#: Largest KKT-residual entry, in units of the squared largest cost-gap
+#: slope, at which a fit counts as optimal.
 GRADIENT_TOL = 1e-9
 
 
@@ -179,10 +178,12 @@ def mper(dataset: Sequence[Observation], coeffs: CostCoefficients) -> float:
 
 
 def _resolve_bounds(
-    fields: Sequence[str], bounds: Mapping[str, tuple[float, float]] | None
+    bounds: Mapping[str, tuple[float, float]] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-field ``(lo, hi)`` arrays in ``_UNIT_FIELDS + _WEIGHT_FIELDS`` order."""
+    fields = _UNIT_FIELDS + _WEIGHT_FIELDS
     bounds = dict(bounds or {})
-    unknown = set(bounds) - set(_WEIGHT_FIELDS) - set(_UNIT_FIELDS)
+    unknown = set(bounds) - set(fields)
     if unknown:
         raise BoundsInfeasible(f"bounds given for unknown fields: {sorted(unknown)}")
     lo = np.empty(len(fields))
@@ -206,55 +207,53 @@ def calibrate(
     seed: int = 0,
     pin_unit_costs: bool = True,
 ) -> CalibrationResult:
-    """Fit the interaction weights to a dataset of equilibrium observations.
+    """Fit the cost coefficients to a dataset of equilibrium observations.
 
-    With the unit costs pinned to their values in ``initial`` (the default)
-    the objective is convex and the fit is exact: bounded least squares on
-    the residual sign pattern, repeated until ``converged`` certifies the
-    optimum, a projected gradient of at most ``GRADIENT_TOL`` times the
-    squared largest cost-gap slope. ``seed`` is unused there. With
-    ``pin_unit_costs`` false the objective is nonconvex and the fit is a
-    bounded Nelder-Mead search restarted from the incumbent plus three
-    jittered starts per cycle, deterministic for a fixed ``seed``; it has
-    converged when a cycle whose four starts all ran improves the objective
-    by less than 1e-10. On both paths ``iterations`` counts objective
-    evaluations and ``budget`` caps them.
+    ``c1_t`` is the unit of delay and stays at its value in ``initial``
+    (scaling all four unit costs is the known invariance); the other unit
+    costs stay there too unless ``pin_unit_costs`` is false, in which case
+    they range over their bounds and ``initial.c1_t`` must be positive, or
+    :class:`DomainError` is raised. In the lifted variables (the unit costs
+    and each weight times its unit cost) the cost gap is linear and every
+    bound is a linear inequality, so both modes are one convex piecewise
+    quadratic over a polyhedron, solved exactly: a linearly constrained
+    least-squares step on the residual sign pattern, repeated until
+    ``converged`` certifies the optimum by a KKT residual of at most
+    ``GRADIENT_TOL`` times the squared largest cost-gap slope.
+    ``iterations`` counts objective evaluations and ``budget`` caps them.
+    ``seed`` has no effect; it is accepted for compatibility.
 
-    Equilibrium data carry an exact blind spot: shifting (beta, omega,
-    delta) along the direction that cancels inside the Lane-1 cost gap
-    leaves every residual and every predicted share unchanged, so those
-    three weights are only identified up to one degree of freedom. The
-    returned coefficients are the representative on that flat ray whose
-    omega matches ``initial`` (clipped to the bounds), which makes noiseless
-    recovery well-posed without touching the objective.
+    Equilibrium data are blind to three directions, along which every
+    residual and every predicted share stays the same: a coordinated
+    (beta, omega, delta) shift, the scale of ``c2_m`` (seen only through
+    ``c2_m*rho`` and ``c2_m*delta``), and, since the flow ratios sum to one,
+    a shift of (alpha, c1_m, omega, c2_t, rho) by (+1, -1, -1, +1, -1) in
+    lifted terms. Data the fit explains exactly cannot see the cost scale
+    either. The fit returns the point along these directions whose
+    ``omega``, ``c2_m``, ``c1_m`` (and, on exactly explained data, ``c2_t``)
+    are ``initial``'s, or the nearest the bounds allow, so noiseless
+    recovery is well-posed; a weight whose unit cost is zero is
+    ``initial``'s, clipped to its bounds. A pinned fit can move only along
+    the first direction.
     """
     if not dataset:
         raise EmptyDataset("dataset must contain at least one observation")
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget!r}")
-    fields = _WEIGHT_FIELDS if pin_unit_costs else _UNIT_FIELDS + _WEIGHT_FIELDS
-    lo, hi = _resolve_bounds(fields, bounds)
-    initial_map = initial.as_dict()
-    x0 = np.array([initial_map[f] for f in fields])
-    if np.any(x0 < lo) or np.any(x0 > hi):
+    lo, hi = _resolve_bounds(bounds)
+    x0 = np.array(list(initial.as_dict().values()))
+    checked = 4 if pin_unit_costs else 0
+    if np.any(x0[checked:] < lo[checked:]) or np.any(x0[checked:] > hi[checked:]):
         raise BoundsInfeasible("initial coefficients lie outside the bounds")
+    if x0[0] <= 0.0 and not pin_unit_costs:
+        raise DomainError("free unit costs are measured in c1_t, which must be positive")
+    held = 4 if pin_unit_costs else 1
+    lo[:held] = hi[:held] = x0[:held]
 
     arrays = _DatasetArrays(dataset)
-    pinned = {f: initial_map[f] for f in _UNIT_FIELDS} if pin_unit_costs else {}
-
-    def build(vector: np.ndarray) -> CostCoefficients:
-        values = dict(pinned)
-        values.update(zip(fields, (float(v) for v in vector)))
-        return CostCoefficients(**values)
-
-    if pin_unit_costs:
-        best_x, evaluations, converged = _exact_fit(arrays, build, x0, lo, hi, budget)
-    else:
-        best_x, evaluations, converged = _multistart_fit(
-            arrays, build, x0, lo, hi, budget, seed
-        )
-
-    coeffs = _fix_gauge(build(best_x), initial.omega, fields, lo, hi)
+    g, h = _constraints(lo, hi)
+    z, evaluations, converged, exact = _fit(arrays, g, h, _lift(x0), budget)
+    coeffs = _unlift(_fix_gauge(z, x0, g, h, exact), x0, lo, hi)
     best_f = float(np.dot(arrays.residuals(coeffs), arrays.residuals(coeffs)))
     try:
         score = mper(dataset, coeffs)
@@ -269,160 +268,156 @@ def calibrate(
     )
 
 
-_Build = Callable[[np.ndarray], CostCoefficients]
+#: Lifted variable ``4 + k`` is weight ``k`` times the unit cost at index
+#: ``_OWNER[k]``; variables 0-3 are the unit costs, as in ``_UNIT_FIELDS``.
+_OWNER = np.array([0, 0, 2, 1, 3, 3])
 
 
-def _exact_fit(
+def _lift(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([x[:4], x[4:] * x[_OWNER]])
+
+
+def _unlift(z: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> CostCoefficients:
+    """Coefficients of a lifted point, clipped to the bounds against rounding."""
+    own = z[_OWNER]
+    weights = np.where(own > 0.0, z[4:] / np.where(own > 0.0, own, 1.0), x0[4:])
+    values = np.clip(np.concatenate([z[:4], weights]), lo, hi)
+    return CostCoefficients(*(float(v) for v in values))
+
+
+def _constraints(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``G z <= h``: the unit-cost boxes, then ``lo_w*c <= u <= hi_w*c`` for
+    each weight's lifted variable ``u`` and unit cost ``c``; rows with an
+    infinite bound are left out."""
+    eye, finite_hi = np.eye(10), np.where(np.isfinite(hi), hi, 0.0)
+    g = np.vstack([eye[:4], -eye[:4], eye[4:] - finite_hi[4:, None] * eye[_OWNER],
+                   lo[4:, None] * eye[_OWNER] - eye[4:]])
+    h = np.concatenate([finite_hi[:4], -lo[:4], np.zeros(12)])
+    keep = np.isfinite(np.concatenate([hi[:4], lo[:4], hi[4:], lo[4:]]))
+    return g[keep], h[keep]
+
+
+def _slide(z: np.ndarray, v: np.ndarray, t: float, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``z + t v``, with ``t`` clipped to the interval where ``G z <= h`` holds."""
+    gv = g @ v
+    room = np.maximum(h - g @ z, 0.0)
+    t = min(t, np.min(room[gv > 0] / gv[gv > 0], initial=np.inf))
+    return z + max(t, np.max(room[gv < 0] / gv[gv < 0], initial=-np.inf)) * v
+
+
+def _fit(
     arrays: _DatasetArrays,
-    build: _Build,
-    x0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    z0: np.ndarray,
     budget: int,
-) -> tuple[np.ndarray, int, bool]:
-    """Minimize the pinned objective over the box; ``(x, evaluations, converged)``.
+) -> tuple[np.ndarray, int, bool, bool]:
+    """Minimize the objective over ``G z <= h``.
 
-    The cost gap is ``A @ w + d``, with ``A`` and ``d`` read off the one
-    Lane-1 formula at the zero weights and the unit vectors. Residual ``i``
-    is ``s_i * gap_i`` with ``s_i = x_i`` where the gap is positive and
-    ``x_i - 1`` elsewhere, so on a fixed sign pattern the objective is a
-    linear least-squares problem. Its gradient ``2 A.T (s * s * gap)`` is
-    continuous across patterns, so a vanishing projected gradient certifies
-    the optimum. Gradients scale with the square of the cost units, so the
-    certificate measures them in units of ``max |A|`` squared.
+    Returns ``(z, evaluations, converged, exact)``; ``exact`` says every
+    residual at ``z`` is within the certificate's tolerance.
+
+    The cost gap is ``A @ z``, with ``A`` read off the one Lane-1 formula at
+    unit monomials. Residual ``i`` is ``s_i * gap_i`` with ``s_i = x_i``
+    where the gap is positive and ``x_i - 1`` elsewhere, so on a fixed sign
+    pattern the objective is a linear least-squares problem. Its gradient
+    ``2 A.T (s * s * gap)`` is continuous across patterns, so a vanishing
+    KKT residual (the gradient less the best nonnegative combination of the
+    active rows' normals) certifies the optimum. Gradients scale with the
+    square of the cost units, so the certificate measures them in units of
+    ``max |A|`` squared.
     """
-    d = arrays.cost_diff(build(np.zeros_like(x0)))
-    a = np.column_stack([arrays.cost_diff(build(e)) - d for e in np.eye(len(x0))])
-    free = lo < hi  # lsq_linear needs lo < hi; fixed weights stay at their bound
+    eye = np.eye(10)
+    base = [arrays.cost_diff(CostCoefficients(*e)) for e in eye[:4]]
+    a = np.column_stack(
+        base + [arrays.cost_diff(CostCoefficients(*(eye[o] + eye[4 + k]))) - base[o]
+                for k, o in enumerate(_OWNER)]
+    )
     tol = GRADIENT_TOL * float(np.max(np.abs(a))) ** 2
 
-    def evaluate(w: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        gap = a @ w + d
+    def evaluate(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        gap = a @ z
         sign = np.where(gap > 0.0, arrays.x, arrays.x - 1.0)
         res = sign * gap
         return float(np.dot(res, res)), sign, res
 
-    def certified(w: np.ndarray, sign: np.ndarray, res: np.ndarray) -> bool:
+    def certified(z: np.ndarray, sign: np.ndarray, res: np.ndarray) -> bool:
         grad = 2.0 * (a.T @ (sign * res))
-        return bool(np.max(np.abs(w - np.clip(w - grad, lo, hi))) <= tol)
+        act = g[h - g @ z <= tol]
+        kkt = grad + act.T @ nnls(act.T, -grad)[0] if len(act) else grad
+        return bool(np.max(np.abs(kkt)) <= tol)
 
-    w = x0
-    f, sign, res = evaluate(w)
-    evaluations = 1
-    while not certified(w, sign, res):
-        if evaluations >= budget:
-            return w, evaluations, False
-        target = w.copy()
-        target[free] = lsq_linear(
-            sign[:, None] * a[:, free],
-            -sign * (d + a[:, ~free] @ w[~free]),
-            bounds=(lo[free], hi[free]),
-            method="bvls",
+    def step(z: np.ndarray, sign: np.ndarray, f: float) -> np.ndarray:
+        """Least squares on the sign pattern under ``G z <= h``: SLSQP, then
+        an exact solve on the affine set of the rows SLSQP left active."""
+        m = sign[:, None] * a / math.sqrt(f)  # ftol is then relative
+        z = minimize(
+            lambda v: 0.5 * float(np.dot(m @ v, m @ v)),
+            z,
+            jac=lambda v: m.T @ (m @ v),
+            method="SLSQP",
+            constraints={"type": "ineq", "fun": lambda v: h - g @ v, "jac": lambda v: -g},
+            options={"ftol": 1e-14, "maxiter": 200},
         ).x
+        on = h - g @ z <= tol
+        z = z + np.linalg.lstsq(g[on], h[on] - g[on] @ z, rcond=None)[0]
+        _, sv, vt = np.linalg.svd(g[on])
+        null = vt[np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)):].T
+        polished = z + null @ np.linalg.lstsq(m @ null, -(m @ z), rcond=None)[0]
+        return _slide(z, polished - z, 1.0, g[~on], h[~on])
+
+    z = z0
+    f, sign, res = evaluate(z)
+    evaluations = 1
+    while not (converged := certified(z, sign, res)) and evaluations < budget:
+        target = step(z, sign, f)
         t = 1.0
         while True:
-            trial = np.clip(w + t * (target - w), lo, hi)  # clip absorbs rounding
+            trial = z + t * (target - z)
             f_trial, sign_trial, res_trial = evaluate(trial)
             evaluations += 1
             if f_trial <= f:
+                z, f, sign, res = trial, f_trial, sign_trial, res_trial
                 break
             if evaluations >= budget:
-                return w, evaluations, False
-            t *= 0.5
-        w, f, sign, res = trial, f_trial, sign_trial, res_trial
-    return w, evaluations, True
-
-
-def _multistart_fit(
-    arrays: _DatasetArrays,
-    build: _Build,
-    x0: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    budget: int,
-    seed: int,
-) -> tuple[np.ndarray, int, bool]:
-    """Seeded multistart Nelder-Mead; ``(x, evaluations, converged)``."""
-
-    def objective(vector: np.ndarray) -> float:
-        res = arrays.residuals(build(np.clip(vector, lo, hi)))
-        return float(np.dot(res, res))
-
-    rng = np.random.default_rng(seed)
-    best_x = x0.copy()
-    best_f = objective(best_x)
-    evaluations = 1
-    per_start = max(200, budget // 8)
-    while evaluations < budget:
-        cycle_start_f = best_f
-        starts = [best_x]
-        for _ in range(3):
-            jitter = best_x * (1.0 + 0.15 * rng.standard_normal(len(x0)))
-            jitter += 0.05 * rng.standard_normal(len(x0))
-            starts.append(np.clip(jitter, lo, hi))
-        for start in starts:
-            remaining = budget - evaluations
-            if remaining <= 0:
                 break
-            result = minimize(
-                objective,
-                start,
-                method="Nelder-Mead",
-                bounds=Bounds(lo, hi),
-                options={
-                    "maxfev": min(per_start, remaining),
-                    "xatol": 1e-10,
-                    "fatol": 1e-14,
-                },
-            )
-            evaluations += result.nfev
-            if result.fun < best_f:
-                best_f = float(result.fun)
-                best_x = np.asarray(result.x)
-        else:  # a cycle cut short by the budget is no verdict
-            if cycle_start_f - best_f < 1e-10:
-                return best_x, evaluations, True
-    return best_x, evaluations, False
+            t *= 0.5
+    return z, evaluations, converged, bool(np.max(res) <= tol)
 
 
 def _fix_gauge(
-    coeffs: CostCoefficients,
-    omega_ref: float,
-    fields: Sequence[str],
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> CostCoefficients:
-    """Pick the flat-ray representative whose omega matches the reference.
+    z: np.ndarray, x0: np.ndarray, g: np.ndarray, h: np.ndarray, exact: bool
+) -> np.ndarray:
+    """Move ``z`` along the directions in which the cost gap is flat toward
+    the point whose c1_m, c2_m and omega (and, if ``exact``, c2_t) are
+    ``initial``'s, as far as ``G z <= h`` allows; no residual changes.
 
-    The shift (beta, omega, delta) -> (beta + rb*s, omega - rw*s, delta + s)
-    with rb = c2_m/c1_t and rw = c2_m/c1_m cancels exactly inside
-    j1s - j1b, so it never changes residuals or predictions. The shift is
-    clipped so all three weights stay inside their bounds.
+    In lifted order (c1_t, c2_t, c1_m, c2_m, then each weight times its unit
+    cost) the directions are (alpha, c1_m, omega, c2_t, rho) by
+    (+1, -1, -1, +1, -1), c2_m alone, and (beta, omega, delta) by
+    (+1, -1, +1). Where every residual vanishes (``exact``) the data cannot
+    see the cost scale either: ``z`` less c1_t times the vector that is
+    (+1, -1, -1, +1, +1) in (c1_t, c2_t, alpha, beta, gamma), whose gap
+    vanishes since ``n0 + n2e + n2s = 1``. The move is the straight one to
+    the matching point, then one along each direction in turn where the
+    bounds cut it.
     """
-    if coeffs.c1_t <= 0.0 or coeffs.c1_m <= 0.0 or coeffs.c2_m <= 0.0:
-        return coeffs
-    rb = coeffs.c2_m / coeffs.c1_t
-    rw = coeffs.c2_m / coeffs.c1_m
-    bound = {f: (lo[i], hi[i]) for i, f in enumerate(fields)}
-    s = (coeffs.omega - omega_ref) / rw
-    s_lo = max(
-        (bound["beta"][0] - coeffs.beta) / rb,
-        (coeffs.omega - bound["omega"][1]) / rw,
-        bound["delta"][0] - coeffs.delta,
-    )
-    s_hi = min(
-        (bound["beta"][1] - coeffs.beta) / rb,
-        (coeffs.omega - bound["omega"][0]) / rw,
-        bound["delta"][1] - coeffs.delta,
-    )
-    s = min(max(s, s_lo), s_hi)
-    if s == 0.0:
-        return coeffs
-    values = coeffs.as_dict()
-    values["beta"] = coeffs.beta + rb * s
-    values["omega"] = coeffs.omega - rw * s
-    values["delta"] = coeffs.delta + s
-    return CostCoefficients(**values)
+    eye, c = np.eye(10), x0[0]
+    flats = [
+        np.array([0, 1, -1, 0, 1, 0, -1, 0, -1, 0]),
+        eye[3],
+        np.array([0, 0, 0, 0, 0, 1, -1, 0, 0, 1]),
+    ]
+    rows, want = [eye[2], eye[3], eye[6] - x0[6] * eye[2]], [x0[2], x0[3], 0.0]
+    if exact and c > 0.0:
+        flats.append(z - c * np.array([1, -1, 0, 0, -1, 1, 0, 1, 0, 0]))
+        rows.append(eye[1])
+        want.append(x0[1])
+    v, p, q = np.column_stack(flats), np.array(rows), np.array(want)
+    z = _slide(z, v @ np.linalg.solve(p @ v, q - p @ z), 1.0, g, h)
+    for vj, pj, qj in zip(v.T, p, q):
+        z = _slide(z, vj, (qj - pj @ z) / (pj @ vj), g, h)
+    return z
 
 
 def load_dataset(path: str | Path) -> list[Observation]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -274,16 +273,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .calibration import calibrate, count_satisfied, load_dataset
 
     dataset = load_dataset(args.dataset)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("SEED", "0"))
-    result = calibrate(
-        dataset,
-        budget=args.budget,
-        seed=seed,
-        pin_unit_costs=not args.free_unit_costs,
-    )
+    result = calibrate(dataset, budget=args.budget, pin_unit_costs=not args.free_unit_costs)
     if math.isnan(result.mper) and args.mper:
         # The order of mper's own checks: observed shares, then fitted slopes.
         if any(o.x1s_observed == 0.0 for o in dataset):
@@ -351,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="multistart jitter seed of a --free-unit-costs fit; a pinned fit is "
-        "exact and ignores it (defaults to the SEED env var, then 0)",
+        help="accepted for compatibility and ignored: the fit is exact and "
+        "draws no random numbers",
     )
     calibrate_cmd.add_argument(
         "--free-unit-costs",

@@ -2,8 +2,8 @@
 
 Everything here recomputes quantities from first principles (bisection,
 golden-section search, dense grids, fixed-point scans, derivative-free
-search) without touching the closed-form code paths under test, so oracle
-agreement is meaningful evidence.
+search, multistart SLSQP) without touching the closed-form code paths under
+test, so oracle agreement is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -217,4 +217,77 @@ def multistart_fit(
             ).fun
         )
         for x0 in starts
+    )
+
+
+#: The unit cost each weight multiplies in the Lane-1 cost gap.
+_WEIGHT_UNIT = {
+    "alpha": "c1_t", "beta": "c1_t", "omega": "c1_m",
+    "gamma": "c2_t", "rho": "c2_m", "delta": "c2_m",
+}
+_FREE_UNITS = ("c2_t", "c1_m", "c2_m")
+
+
+def lifted_fit(
+    dataset: list, initial: CostCoefficients, bounds: dict[str, tuple[float, float]]
+) -> float:
+    """Least residual objective SLSQP finds with free unit costs.
+
+    ``c1_t`` stays at ``initial``'s. The variables are the other three unit
+    costs and each weight times its unit cost, so a weight bound
+    ``lo <= w <= hi`` is the linear constraint ``lo*c <= u <= hi*c``; unit
+    costs range over ``bounds`` (default ``(0, 10)``). The three starts are
+    ``initial`` and two uniform draws from the box. A point is mapped back
+    with every coefficient clipped to its bounds (a weight whose unit cost
+    is zero takes its lower bound) and scored only by the public
+    ``residual_objective``, so the result is the objective of a feasible
+    point and bounds the free optimum from above.
+    """
+    from scipy.optimize import minimize
+
+    from weavelane.calibration import residual_objective
+
+    box = {f: bounds.get(f, (0.0, 10.0)) for f in _FREE_UNITS + _WEIGHTS}
+
+    def coeffs(v: np.ndarray) -> CostCoefficients:
+        units = {"c1_t": initial.c1_t}
+        units.update({f: min(max(x, box[f][0]), box[f][1]) for f, x in zip(_FREE_UNITS, v)})
+        weights = {}
+        for f, u in zip(_WEIGHTS, v[3:]):
+            c, (lo, hi) = units[_WEIGHT_UNIT[f]], box[f]
+            weights[f] = min(max(u / c, lo), hi) if c > 0.0 else lo
+        return CostCoefficients(**units, **weights)
+
+    def lift(c: CostCoefficients) -> np.ndarray:
+        weights = [getattr(c, f) * getattr(c, _WEIGHT_UNIT[f]) for f in _WEIGHTS]
+        return np.array([getattr(c, f) for f in _FREE_UNITS] + weights)
+
+    def cone(v: np.ndarray) -> np.ndarray:
+        units = {"c1_t": initial.c1_t, **dict(zip(_FREE_UNITS, v))}
+        rows = []
+        for f, u in zip(_WEIGHTS, v[3:]):
+            c, (lo, hi) = units[_WEIGHT_UNIT[f]], box[f]
+            rows += [u - lo * c, hi * c - u]
+        return np.array(rows)
+
+    rng = np.random.default_rng(0)
+    draws = [
+        CostCoefficients(c1_t=initial.c1_t, **{f: rng.uniform(*box[f]) for f in box})
+        for _ in range(2)
+    ]
+    return min(
+        residual_objective(
+            dataset,
+            coeffs(
+                minimize(
+                    lambda v: residual_objective(dataset, coeffs(v)),
+                    lift(start),
+                    method="SLSQP",
+                    bounds=[box[f] for f in _FREE_UNITS] + [(0.0, None)] * 6,
+                    constraints={"type": "ineq", "fun": cone},
+                    options={"maxiter": 100, "ftol": 1e-15},
+                ).x
+            ),
+        )
+        for start in [initial] + draws
     )

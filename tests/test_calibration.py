@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weavelane import calibration
 from weavelane.calibration import (
     Observation,
     calibrate,
@@ -19,14 +18,15 @@ from weavelane.errors import (
     BoundsInfeasible,
     DatasetFormatError,
     DegenerateCosts,
+    DomainError,
     EmptyDataset,
     ZeroDenominator,
     ZeroObservedShare,
 )
-from weavelane.model import CostCoefficients, FlowConfig, RampConfig
+from weavelane.model import CostCoefficients, FlowConfig, RampConfig, affine_reduce
 from weavelane.wardrop import phi, solve_hdv
 
-from oracles import multistart_fit, random_config
+from oracles import lifted_fit, multistart_fit, random_config
 
 PAPER = CostCoefficients()
 
@@ -161,17 +161,40 @@ class TestCalibrate:
         assert second.objective <= first.objective + 1e-12
 
     def test_deterministic_given_seed(self):
-        dataset = synthesize(40, seed=93)
-        a = calibrate(dataset, seed=11, budget=4000)
-        b = calibrate(dataset, seed=11, budget=4000)
-        assert a == b
+        # The fit draws no random numbers, so the seed changes nothing.
+        dataset = synthesize(40, seed=93, noise=0.02)
+        for pin in (True, False):
+            a = calibrate(dataset, seed=11, budget=4000, pin_unit_costs=pin)
+            b = calibrate(dataset, seed=12, budget=4000, pin_unit_costs=pin)
+            assert a == b
 
     def test_free_unit_costs_mode(self):
         dataset = synthesize(30, seed=99)
-        result = calibrate(dataset, seed=4, budget=12000, pin_unit_costs=False)
+        result = calibrate(dataset, budget=12000, pin_unit_costs=False)
+        assert result.converged
         assert result.objective < 1e-8
+        # A unit cost may be 0 at the optimum, but both Lane-1 slopes never.
+        assert all(slopes(result.coeffs, o) > 0.0 for o in dataset)
         again = calibrate(dataset, seed=4, budget=12000, pin_unit_costs=False)
         assert result == again
+
+    def test_free_noiseless_recovery(self):
+        # The truth's unit costs and omega are the start's, so the flat
+        # directions and the cost scale resolve to the truth itself.
+        dataset = synthesize(200, seed=90)
+        start = CostCoefficients(alpha=1.0, beta=1.0, omega=1.0, gamma=1.0, rho=1.0, delta=1.0)
+        result = calibrate(dataset, initial=start, pin_unit_costs=False)
+        assert result.converged
+        for field, value in PAPER.as_dict().items():
+            assert getattr(result.coeffs, field) == pytest.approx(value, abs=2e-2)
+
+    def test_free_fit_needs_a_positive_delay_unit(self):
+        # c1_t is the unit delays are measured in; CostCoefficients already
+        # rejects a negative one.
+        dataset = synthesize(10, seed=100)
+        with pytest.raises(DomainError):
+            calibrate(dataset, initial=CostCoefficients(c1_t=0.0), pin_unit_costs=False)
+        assert calibrate(dataset, initial=CostCoefficients(c1_t=0.0)).converged
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
@@ -231,21 +254,10 @@ class TestBudget:
 
     @pytest.mark.parametrize("pin_unit_costs", [True, False])
     def test_budget_cut_fit_is_not_converged(self, pin_unit_costs):
-        # The free fit once counted a cycle the budget had cut off as a
-        # cycle without improvement, hence as converged.
-        result = calibrate(CLASH, budget=2, pin_unit_costs=pin_unit_costs)
+        # The free fit certifies CLASH in two evaluations, so one is a cut.
+        result = calibrate(CLASH, budget=1, pin_unit_costs=pin_unit_costs)
         assert result.converged is False
-        assert result.objective > calibrate(CLASH).objective
-
-    def test_pinned_fit_never_calls_nelder_mead(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the pinned fit must not search")
-
-        monkeypatch.setattr(calibration, "minimize", refuse)
-        result = calibrate(synthesize(80, seed=143, noise=0.02))
-        assert result.converged
-        with pytest.raises(AssertionError):
-            calibrate(CLASH, budget=200, pin_unit_costs=False)
+        assert result.objective > calibrate(CLASH, pin_unit_costs=pin_unit_costs).objective
 
 
 _WEIGHTS = ("alpha", "beta", "omega", "gamma", "rho", "delta")
@@ -278,7 +290,9 @@ def pinned_case(seed, weights, noise, rows, capped, cap, fixed, zero_units):
 
 
 @st.composite
-def pinned_fits(draw) -> tuple[list[Observation], CostCoefficients, dict]:
+def pinned_fits(
+    draw, zero_units=st.booleans()
+) -> tuple[list[Observation], CostCoefficients, dict]:
     return pinned_case(
         draw(st.integers(0, 2**32 - 1)),
         draw(st.lists(st.floats(0.2, 4.0), min_size=6, max_size=6)),
@@ -287,7 +301,7 @@ def pinned_fits(draw) -> tuple[list[Observation], CostCoefficients, dict]:
         draw(st.sampled_from((None,) + _WEIGHTS)),
         draw(st.floats(0.2, 0.9)),
         draw(st.sampled_from((None,) + _WEIGHTS)),
-        draw(st.booleans()),
+        draw(zero_units),
     )
 
 
@@ -302,6 +316,28 @@ def test_pinned_fit_is_no_worse_than_multistart_oracle(case):
     oracle = multistart_fit(dataset, initial, bounds)
     assert result.converged
     assert result.objective <= oracle + 1e-9 + 1e-6 * oracle
+
+
+def slopes(coeffs: CostCoefficients, obs: Observation) -> float:
+    """``k1s + k1b`` at an observation's flow mix."""
+    aff = affine_reduce(RampConfig(obs.flows, coeffs))
+    return aff.k1s + aff.k1b
+
+
+@ORACLE_PROPERTY
+@given(pinned_fits(zero_units=st.just(False)))
+@example(pinned_case(1, (1.5, 0.8, 1.2, 2.0, 0.7, 2.5), 0.0, 3, None, 1.0, None, False))
+@example(pinned_case(2, (1.5, 0.8, 1.2, 2.0, 0.7, 2.5), 0.1, 12, "gamma", 0.3, "delta", False))
+@example((CLASH, PAPER, {}))
+def test_free_fit_is_no_worse_than_lifted_oracle_or_pinned_fit(case):
+    dataset, initial, bounds = case
+    result = calibrate(dataset, initial=initial, bounds=bounds, pin_unit_costs=False)
+    assert result.converged
+    assert all(slopes(result.coeffs, o) > 0.0 for o in dataset)
+    assert result.objective <= lifted_fit(dataset, initial, bounds) + 1e-9
+    # The pinned optimum is a feasible point of the free problem.
+    pinned = calibrate(dataset, initial=initial, bounds=bounds)
+    assert result.objective <= pinned.objective + 1e-9
 
 
 class TestMper:
