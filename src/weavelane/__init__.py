@@ -38,9 +38,9 @@ from .wardrop import EquilibriumCase, HdvEquilibrium, check_wardrop, phi, solve_
 
 __version__ = "0.1.0"
 
-# Calibration is the only part of the package that needs numpy and scipy, so
-# its names resolve on first access (PEP 562): ``import weavelane`` and every
-# other CLI subcommand load neither library.
+# Calibration is the only part of the package that needs numpy, so its names
+# resolve on first access (PEP 562): ``import weavelane`` and every other CLI
+# subcommand do not load it.
 _CALIBRATION_NAMES = (
     "CalibrationResult", "Observation", "calibrate", "count_satisfied",
     "equilibrium_residual", "load_dataset", "mper", "normalize_flows",

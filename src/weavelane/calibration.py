@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, nnls
 
 from .errors import (
     BoundsInfeasible,
@@ -305,6 +304,47 @@ def _slide(z: np.ndarray, v: np.ndarray, t: float, g: np.ndarray, h: np.ndarray)
     return z + max(t, np.max(room[gv < 0] / gv[gv < 0], initial=-np.inf)) * v
 
 
+#: Most passes of :func:`_lsq`; each adds or drops one working row.
+_LSQ_PASSES = 200
+
+
+def _lsq(
+    m: np.ndarray, r: np.ndarray | float, g: np.ndarray, h: np.ndarray | float, z: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Minimize ``|m z + r|`` over ``G z <= h`` from a feasible ``z``.
+
+    Returns the minimizer and the passes made, ``_LSQ_PASSES`` if capped.
+    A primal active set: each pass steps toward the minimum-norm
+    least-squares point in the null space of the working rows and stops at
+    the first row it would cross, which joins them. After a full step the
+    point is optimal unless a multiplier is negative beyond rounding; then
+    the most negative one's row leaves. A row met only by rounding (one
+    dependent on the working rows) does not block.
+    """
+    work: list[int] = []
+    floor = 1e-13 * float(np.max(np.abs(m), initial=0.0)) ** 2
+    for passes in range(1, _LSQ_PASSES):
+        _, sv, vt = np.linalg.svd(g[work])
+        null = vt[np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)):].T
+        p = null @ np.linalg.lstsq(m @ null, -(m @ z + r), rcond=None)[0]
+        gp = g @ p
+        block = gp > 1e-12 * np.linalg.norm(g, axis=1) * np.linalg.norm(p)
+        block[work] = False
+        ratios = np.where(block, np.maximum(h - g @ z, 0.0) / np.where(block, gp, 1.0), np.inf)
+        t = min(1.0, np.min(ratios, initial=np.inf))
+        z = z + t * p
+        if t < 1.0:
+            work.append(int(np.argmin(ratios)))
+            continue
+        if not work:
+            return z, passes
+        lam = np.linalg.lstsq(g[work].T, -(m.T @ (m @ z + r)), rcond=None)[0]
+        if lam.min() >= -max(1e-12 * np.max(np.abs(lam)), floor * (1.0 + np.max(np.abs(z)))):
+            return z, passes
+        work.pop(int(np.argmin(lam)))
+    return z, _LSQ_PASSES
+
+
 def _fit(
     arrays: _DatasetArrays,
     g: np.ndarray,
@@ -344,33 +384,14 @@ def _fit(
     def certified(z: np.ndarray, sign: np.ndarray, res: np.ndarray) -> bool:
         grad = 2.0 * (a.T @ (sign * res))
         act = g[h - g @ z <= tol]
-        kkt = grad + act.T @ nnls(act.T, -grad)[0] if len(act) else grad
+        kkt = grad + act.T @ _lsq(act.T, grad, -np.eye(len(act)), 0.0, np.zeros(len(act)))[0]
         return bool(np.max(np.abs(kkt)) <= tol)
-
-    def step(z: np.ndarray, sign: np.ndarray, f: float) -> np.ndarray:
-        """Least squares on the sign pattern under ``G z <= h``: SLSQP, then
-        an exact solve on the affine set of the rows SLSQP left active."""
-        m = sign[:, None] * a / math.sqrt(f)  # ftol is then relative
-        z = minimize(
-            lambda v: 0.5 * float(np.dot(m @ v, m @ v)),
-            z,
-            jac=lambda v: m.T @ (m @ v),
-            method="SLSQP",
-            constraints={"type": "ineq", "fun": lambda v: h - g @ v, "jac": lambda v: -g},
-            options={"ftol": 1e-14, "maxiter": 200},
-        ).x
-        on = h - g @ z <= tol
-        z = z + np.linalg.lstsq(g[on], h[on] - g[on] @ z, rcond=None)[0]
-        _, sv, vt = np.linalg.svd(g[on])
-        null = vt[np.count_nonzero(sv > 1e-12 * sv.max(initial=0.0)):].T
-        polished = z + null @ np.linalg.lstsq(m @ null, -(m @ z), rcond=None)[0]
-        return _slide(z, polished - z, 1.0, g[~on], h[~on])
 
     z = z0
     f, sign, res = evaluate(z)
     evaluations = 1
     while not (converged := certified(z, sign, res)) and evaluations < budget:
-        target = step(z, sign, f)
+        target = _lsq(sign[:, None] * a, 0.0, g, h, z)[0]
         t = 1.0
         while True:
             trial = z + t * (target - z)

@@ -11,8 +11,8 @@ digits so fixtures are reproducible. Exit codes: 0 ok, 2 input error
 included), 4 missing scenario section, 5 calibration did not converge
 within budget.
 
-Only ``calibrate`` loads numpy and scipy; the other subcommands import
-neither, so their cold start is the interpreter, PyYAML and this package.
+Only ``calibrate`` loads numpy; the other subcommands do not, so their
+cold start is the interpreter, PyYAML and this package.
 """
 
 from __future__ import annotations
@@ -183,6 +183,15 @@ def _sweep_grid(sc: Scenario) -> SweepGrid:
     return sc.sweep
 
 
+def _sweep_markers(sc: Scenario, mode: str) -> list[tuple[float, str]]:
+    """Chart markers: Phi, and Gamma if below 1, or the plateau endpoints."""
+    if mode == "stackelberg":
+        gamma_v = gamma(sc.config)
+        return [(phi(sc.config), "p1")] + ([(gamma_v, "p2")] if gamma_v < 1.0 else [])
+    intervals = plateau_intervals(sc.config, sc.population)
+    return [(p, iv.label) for iv in intervals for p in (iv.p_lo, iv.p_hi)]
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sc = load_scenario(args.scenario)
     grid = _sweep_grid(sc).points()
@@ -203,8 +212,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             for r in records
         ]
-        th = penetration_thresholds(sc.config)
-        markers = [(th.p1, "p1"), (th.p2, "p2")]
     else:
         if sc.population is None:
             raise MissingSection("svo sweep requires a population section")
@@ -222,10 +229,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
             for r in records
         ]
-        markers = []
-        for iv in plateau_intervals(sc.config, sc.population):
-            markers.append((iv.p_lo, iv.label))
-            markers.append((iv.p_hi, iv.label))
+    markers = _sweep_markers(sc, args.mode) if args.out_svg is not None else []
     _write_lines(out_csv, lines)
     print(f"wrote {len(records)} records to {out_csv}")
     if args.out_svg is not None:

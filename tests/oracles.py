@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities from first principles (bisection,
 golden-section search, dense grids, fixed-point scans, derivative-free
-search, multistart SLSQP) without touching the closed-form code paths under
-test, so oracle agreement is meaningful evidence.
+search, multistart SLSQP, scipy's nonnegative least squares) without
+touching the closed-form code paths under test, so oracle agreement is
+meaningful evidence.
 """
 
 from __future__ import annotations
@@ -291,3 +292,40 @@ def lifted_fit(
         )
         for start in [initial] + draws
     )
+
+
+def nnls_objective(m: np.ndarray, r: np.ndarray) -> float:
+    """Least ``|m x + r|**2`` over ``x >= 0``, by scipy's Lawson-Hanson NNLS."""
+    from scipy.optimize import nnls
+
+    x = nnls(m, -r)[0]
+    return float(np.sum((m @ x + r) ** 2))
+
+
+def slsqp_objective(
+    m: np.ndarray, r: np.ndarray, g: np.ndarray, h: np.ndarray, starts: list, tol: float
+) -> float:
+    """Least ``|m z + r|**2`` SLSQP finds over ``G z <= h`` from each start.
+
+    A result counts only if no row is violated by more than ``tol``; the
+    first start must be feasible, and its own objective always counts, so
+    the result bounds the optimum from above (up to ``tol``).
+    """
+    from scipy.optimize import minimize
+
+    def objective(z: np.ndarray) -> float:
+        return float(np.sum((m @ z + r) ** 2))
+
+    best = objective(starts[0])
+    for start in starts:
+        z = minimize(
+            objective,
+            start,
+            jac=lambda z: 2.0 * (m.T @ (m @ z + r)),
+            method="SLSQP",
+            constraints={"type": "ineq", "fun": lambda z: h - g @ z, "jac": lambda z: -g},
+            options={"ftol": 1e-15, "maxiter": 1000},
+        ).x
+        if np.all(g @ z - h <= tol):
+            best = min(best, objective(z))
+    return best

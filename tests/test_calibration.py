@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weavelane import calibration
 from weavelane.calibration import (
     Observation,
     calibrate,
@@ -26,7 +29,13 @@ from weavelane.errors import (
 from weavelane.model import CostCoefficients, FlowConfig, RampConfig, affine_reduce
 from weavelane.wardrop import phi, solve_hdv
 
-from oracles import lifted_fit, multistart_fit, random_config
+from oracles import (
+    lifted_fit,
+    multistart_fit,
+    nnls_objective,
+    random_config,
+    slsqp_objective,
+)
 
 PAPER = CostCoefficients()
 
@@ -338,6 +347,185 @@ def test_free_fit_is_no_worse_than_lifted_oracle_or_pinned_fit(case):
     # The pinned optimum is a feasible point of the free problem.
     pinned = calibrate(dataset, initial=initial, bounds=bounds)
     assert result.objective <= pinned.objective + 1e-9
+
+
+@contextlib.contextmanager
+def lsq_passes():
+    """Collect the passes of every ``_lsq`` solve made inside the block."""
+    seen = []
+    solve = calibration._lsq
+
+    def counted(*args):
+        z, passes = solve(*args)
+        seen.append(passes)
+        return z, passes
+
+    calibration._lsq = counted
+    try:
+        yield seen
+    finally:
+        calibration._lsq = solve
+
+
+def lsq_case(seed, n, k, rank, rows, copies, nonneg):
+    """A problem ``(m, r, g, h, z0)`` for ``_lsq`` with a feasible start.
+
+    ``m`` is ``n`` by ``k`` of rank at most ``rank``. With ``nonneg`` it is
+    the NNLS form ``g = -I``, ``h = 0`` from ``z0 = 0``. Otherwise ``g`` has
+    ``rows`` random rows, about half of them tight at ``z0``, then
+    ``copies`` dependent rows: a scaled duplicate, a sum of two rows, or
+    both box rows of one coordinate held at ``z0``.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, k))
+    r = rng.normal(size=n)
+    if nonneg:
+        return m, r, -np.eye(k), np.zeros(k), np.zeros(k)
+    z0 = rng.normal(size=k)
+    g = rng.normal(size=(rows, k))
+    h = g @ z0 + np.where(rng.random(rows) < 0.5, 0.0, rng.random(rows))
+    for _ in range(copies):
+        kind, (i, j) = rng.integers(3), rng.integers(rows, size=2)
+        a, b = rng.uniform(0.5, 2.0, size=2)
+        if kind == 2:
+            e = np.eye(k)[rng.integers(k)]
+            g, h = np.vstack([g, e, -e]), np.append(h, [e @ z0, -e @ z0])
+        else:
+            b *= kind
+            g, h = np.vstack([g, a * g[i] + b * g[j]]), np.append(h, a * h[i] + b * h[j])
+    return m, r, g, h, z0
+
+
+@st.composite
+def lsq_problems(draw):
+    k, nonneg = draw(st.integers(1, 6)), draw(st.booleans())
+    problem = lsq_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 12)),
+        k,
+        draw(st.integers(1, k)),
+        draw(st.integers(1, 8)),
+        draw(st.integers(0, 4)),
+        nonneg,
+    )
+    return problem, nonneg
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(lsq_problems())
+def test_lsq_is_no_worse_than_scipy(case):
+    (m, r, g, h, z0), nonneg = case
+    z, passes = calibration._lsq(m, r, g, h, z0)
+    assert passes < calibration._LSQ_PASSES
+    assert np.all(g @ z - h <= 1e-9 * (1.0 + np.max(np.abs(z))))
+    scale = 1.0 + float(np.sum((m @ z0 + r) ** 2))
+    if nonneg:
+        oracle = nnls_objective(m, r)
+    else:
+        starts = [z0, np.zeros(len(z0)), z0 + np.random.default_rng(0).normal(size=len(z0))]
+        oracle = slsqp_objective(m, r, g, h, starts, 1e-9)
+    assert float(np.sum((m @ z + r) ** 2)) <= oracle + 1e-9 * scale
+
+
+def stress_case(seed, scale, noise, mixes, rows, fixed, pinned, c1_m=1.0):
+    """A fit with all unit costs at ``scale`` (``c1_m`` at ``c1_m * scale``).
+
+    The truth's weights lie within 30% of the start's; its ``rows`` shares
+    cycle over ``mixes`` flow mixes with uniform noise. ``fixed`` names a
+    weight held at its start by equal bounds; unit costs range over
+    ``[0, 10 * scale]``.
+    """
+    rng = np.random.default_rng(seed)
+    units = dict(c1_t=scale, c2_t=scale, c1_m=c1_m * scale, c2_m=scale)
+    truth = CostCoefficients(
+        **units, **{f: getattr(PAPER, f) * rng.uniform(0.7, 1.3) for f in _WEIGHTS}
+    )
+    flows = [FlowConfig(*rng.dirichlet((1.0, 1.0, 1.0))) for _ in range(mixes)]
+    dataset = []
+    for i in range(rows):
+        x = solve_hdv(RampConfig(flows[i % mixes], truth)).x1s_star
+        x += noise * rng.uniform(-1.0, 1.0)
+        dataset.append(Observation(flows[i % mixes], min(1.0, max(0.0, x))))
+    initial = CostCoefficients(**units)
+    bounds = {f: (0.0, 10.0) for f in _WEIGHTS}
+    bounds.update({f: (0.0, 10.0 * scale) for f in units})
+    if fixed is not None:
+        bounds[fixed] = (getattr(initial, fixed),) * 2
+    return dataset, initial, bounds, pinned
+
+
+@st.composite
+def stress_fits(draw):
+    return stress_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from((1e-3, 1.0, 1e4))),
+        draw(st.sampled_from((0.0, 0.01, 0.05, 0.2))),
+        draw(st.integers(1, 6)),
+        draw(st.integers(3, 40)),
+        draw(st.sampled_from((None,) + _WEIGHTS)),
+        draw(st.booleans()),
+    )
+
+
+def fit_without_cap(dataset, initial, bounds, pinned):
+    """``calibrate``, asserting that no ``_lsq`` solve reaches its cap."""
+    with lsq_passes() as passes:
+        result = calibrate(dataset, initial=initial, bounds=bounds, pin_unit_costs=pinned)
+    assert max(passes) < calibration._LSQ_PASSES
+    return result
+
+
+@ORACLE_PROPERTY
+@given(stress_fits())
+@example(stress_case(4, 1e4, 0.0, 3, 30, None, True))
+@example(stress_case(5, 1e-3, 0.2, 2, 25, "omega", False))
+def test_stress_fit_converges_within_the_oracle(case):
+    # Objectives scale with the square of the unit costs, so the slack is
+    # relative above 1.
+    result = fit_without_cap(*case)
+    assert result.converged
+    dataset, initial, bounds, pinned = case
+    oracle = (multistart_fit if pinned else lifted_fit)(dataset, initial, bounds)
+    assert result.objective <= oracle + 1e-9 * max(1.0, oracle)
+
+
+class TestLsqPitfalls:
+    """One case for each way an active-set step can cycle or stall."""
+
+    def test_full_step_checks_multipliers(self):
+        # From the vertex 0 of z2 >= 0 and z2 >= z1 both rows join at t = 0,
+        # so the next step is full and zero; only the multiplier -1 of
+        # z2 >= 0 shows that the optimum lies along z1 = z2.
+        g = np.array([[0.0, -1.0], [1.0, -1.0]])
+        z, _ = calibration._lsq(np.eye(2), np.array([-2.0, 1.0]), g, np.zeros(2), np.zeros(2))
+        assert z == pytest.approx([0.5, 0.5], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # c1_m = 0: both omega cone rows are tight and dependent on its box.
+            stress_case(407, 1.0, 0.05, 2, 28, None, False, c1_m=0.0),
+            # rho held by equal bounds: its two cone rows are opposite.
+            stress_case(961, 1.0, 0.01, 3, 17, "rho", True),
+        ],
+        ids=["c1_m-zero", "rho-fixed"],
+    )
+    def test_rows_met_by_rounding_do_not_block(self, case):
+        assert fit_without_cap(*case).converged
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_noiseless_fit_accepts_rounding_multipliers(self, scale):
+        # The gradient vanishes at a noiseless optimum, so multipliers are
+        # rounding there, and a tolerance relative to them alone cycles.
+        for pinned in (True, False):
+            result = fit_without_cap(*stress_case(2, scale, 0.0, 3, 30, None, pinned))
+            assert result.converged and result.iterations <= 3
+
+    def test_noiseless_pinned_fit_at_large_unit_costs_certifies(self):
+        # Steps this close to the optimum are tiny but still needed.
+        for seed in range(4):
+            result = fit_without_cap(*stress_case(seed, 1e4, 0.0, 5, 40, None, True))
+            assert result.converged and result.iterations <= 3
 
 
 class TestMper:

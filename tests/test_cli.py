@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -170,6 +171,32 @@ class TestSweep:
         path.write_text(CORNER_SCENARIO + "sweep:\n  start: 0.0\n  stop: 1.0\n  step: 0.5\n")
         cp = run_cli("sweep", str(path), "--mode", "svo", "--out-csv", str(tmp_path / "x.csv"))
         assert cp.returncode == 4
+
+    @pytest.mark.parametrize("chart", [False, True])
+    def test_stackelberg_sweep_with_gamma_above_one_exits_0(self, tmp_path, chart):
+        # The corner's Gamma is 1.20198: thresholds refuse it, the sweep does not.
+        from weavelane.scenario import load_scenario
+        from weavelane.social import gamma
+        from weavelane.stackelberg import sweep_penetration
+        from weavelane.wardrop import phi
+
+        path = tmp_path / "corner.yaml"
+        path.write_text(CORNER_SCENARIO + "sweep:\n  start: 0.0\n  stop: 1.0\n  step: 0.1\n")
+        out, svg = tmp_path / "corner.csv", tmp_path / "corner.svg"
+        args = ["sweep", str(path), "--mode", "stackelberg", "--out-csv", str(out)]
+        cp = run_cli(*args, *(["--out-svg", str(svg)] if chart else []))
+        assert cp.returncode == 0, cp.stderr
+        sc = load_scenario(path)
+        assert gamma(sc.config) > 1.0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        expected = sweep_penetration(sc.config, sc.sweep.points())
+        assert len(rows) == len(expected) == 11
+        for row, r in zip(rows, expected):
+            assert [float(v) for v in row[:5]] == [r.p, r.x1s_total, r.q_s, r.j_soc, r.j_cav]
+            assert row[5] == r.regime_label
+        if chart:
+            marks = [float(m) for m in re.findall(r'data-p="([^"]+)"', svg.read_text())]
+            assert marks == [phi(sc.config)]
 
     def test_byte_identical_across_runs(self, thirds_scenario, tmp_path):
         first = tmp_path / "a.csv"
@@ -485,13 +512,22 @@ star = {}
 exec("from weavelane import *", star)
 report["star_binds_calibration"] = star["load_dataset"] is weavelane.calibration.load_dataset
 report["all_listed_in_dir"] = set(weavelane.__all__) <= set(dir(weavelane))
+report["calibrate_code"] = weavelane.cli.main(
+    ["calibrate", sys.argv[2], "--out-scenario", sys.argv[3], "--format", "csv"]
+)
+report["after_calibrate"] = heavy()
 print(json.dumps(report))
 """
 
 
-def test_import_boundary_keeps_numpy_and_scipy_out(thirds_scenario):
+def test_import_boundary_keeps_numpy_and_scipy_out(thirds_scenario, tmp_path):
+    dataset = tmp_path / "observations.csv"
+    dataset.write_text(DATASET_TEXT, encoding="utf-8")
     cp = subprocess.run(
-        [sys.executable, "-c", _BOUNDARY_PROBE, str(thirds_scenario)],
+        [
+            sys.executable, "-c", _BOUNDARY_PROBE,
+            str(thirds_scenario), str(dataset), str(tmp_path / "fitted.yaml"),
+        ],
         capture_output=True,
         text=True,
     )
@@ -506,7 +542,29 @@ def test_import_boundary_keeps_numpy_and_scipy_out(thirds_scenario):
         "lazy_identity": True,
         "star_binds_calibration": True,
         "all_listed_in_dir": True,
+        "calibrate_code": 0,
+        "after_calibrate": ["numpy", "weavelane.calibration"],
     }
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    from importlib.metadata import packages_distributions
+
+    root = Path(__file__).parent.parent
+    imported = set()
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"weavelane"}
+    dists = packages_distributions()
+    used = {d.lower() for name in third_party for d in dists.get(name, [name])}
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.split(r"[\s<>=!~;\[]", req, maxsplit=1)[0].lower() for req in project["dependencies"]}
+    assert used == declared == {"numpy", "pyyaml"}
 
 
 DATASET_TEXT = """\
